@@ -167,7 +167,7 @@ bool Result::check(bool ok, const std::string& what) {
 void check_digest(Result& result, const Options& options, std::uint64_t digest) {
   std::printf("digest %s seed=%llu %s\n", options.workload.c_str(),
               static_cast<unsigned long long>(options.seed), hex16(digest).c_str());
-  if (options.expect_digest.empty()) return;
+  if (!result.check(!options.expect_digest.empty(), "no recorded artifact digest")) return;
   result.check(hex16(digest) == options.expect_digest,
                "artifact digest " + hex16(digest) + " != recorded " + options.expect_digest);
 }

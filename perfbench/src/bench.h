@@ -149,17 +149,15 @@ struct Options {
   std::string work_dir;       // scratch directory of this run, under the checkout
   std::string trace_dir;      // where the traced run's span file goes
   std::string serve_bin;      // the sp_serve executable under test
-  std::string expect_digest;  // recorded artifact digest for this seed, if any
-  double open_loop_fps = 0.0;  // serve workloads: fixed offered frame rate
+  std::string expect_digest;  // the workload's recorded artifact digest
 };
 
 Result run_campaign(const Options& options);
 Result run_publish(const Options& options);
-Result run_serve_bulk(const Options& options);
 Result run_serve_reload(const Options& options);
 
-/// Compares `digest` against the recorded one (when the seed has one) and
-/// prints it for recording; counts as one output check.
+/// Compares `digest` against the recorded one and prints it for
+/// recording; counts as one output check, failed when nothing is recorded.
 void check_digest(Result& result, const Options& options, std::uint64_t digest);
 
 }  // namespace perfbench

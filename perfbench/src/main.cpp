@@ -2,7 +2,7 @@
 //
 //   perfbench_runner --workload <name> --seed <n> --seconds <s> --trace <0|1>
 //                    --work-dir <dir> --serve-bin <sp_serve> [--trace-dir <dir>]
-//                    [--expect-digest <hex>] [--open-loop-fps <rate>] [--stamp <text>]
+//                    [--expect-digest <hex>] [--stamp <text>]
 //
 // run.py builds this runner and passes the flags. Human-readable lines
 // come first; the last stdout line is the JSON result:
@@ -57,10 +57,9 @@ const std::pair<const char*, const char*> kLayerMetrics[] = {
 
 int usage() {
   std::fprintf(stderr,
-               "usage: perfbench_runner --workload <campaign|publish-scale|serve-bulk|"
-               "serve-reload> --seed N --seconds S --trace 0|1 --work-dir DIR "
-               "--serve-bin PATH [--trace-dir DIR] [--expect-digest HEX] "
-               "[--open-loop-fps RATE] [--stamp TEXT]\n");
+               "usage: perfbench_runner --workload <campaign|publish-scale|serve-reload> "
+               "--seed N --seconds S --trace 0|1 --work-dir DIR --serve-bin PATH "
+               "[--trace-dir DIR] [--expect-digest HEX] [--stamp TEXT]\n");
   return 2;
 }
 
@@ -97,7 +96,6 @@ int main(int argc, char** argv) {
     else if (flag == "--trace-dir") options.trace_dir = value;
     else if (flag == "--serve-bin") options.serve_bin = value;
     else if (flag == "--expect-digest") options.expect_digest = value;
-    else if (flag == "--open-loop-fps") options.open_loop_fps = std::strtod(value.c_str(), nullptr);
     else if (flag == "--stamp") stamp = value;
     else return usage();
   }
@@ -118,7 +116,6 @@ int main(int argc, char** argv) {
   Result result;
   if (options.workload == "campaign") result = perfbench::run_campaign(options);
   else if (options.workload == "publish-scale") result = perfbench::run_publish(options);
-  else if (options.workload == "serve-bulk") result = perfbench::run_serve_bulk(options);
   else if (options.workload == "serve-reload") result = perfbench::run_serve_reload(options);
   else return usage();
   perfbench::remove_tree(options.work_dir);

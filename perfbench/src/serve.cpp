@@ -1,21 +1,31 @@
-// Workloads `serve-bulk` and `serve-reload`: the sp_serve --listen
-// process is the system under test, driven over loopback by the
-// benchmark's own load generator.
+// Workload `serve-reload`: the sp_serve --listen process is the system
+// under test, driven over loopback by the benchmark's own load generator.
 //
-// Both serve the .sibdb snapshots of a 12-month × 1000-org campaign the
-// run generates from its seed. sp_serve is launched three times per run;
-// setup_s is the median launch → first answer time. Every QUERY answer is
-// compared byte for byte with an in-process LookupEngine over the same
-// snapshot (chosen by the answer's generation), every RELOAD must bump
-// the generation by one, and a QUERY sent right after it must answer from
-// the new snapshot.
+// The server answers from the .sibdb snapshots of a 12-month × 1000-org
+// campaign over the default synthetic universe (synth seed 42), the same
+// for every workload seed, so its published lists have one recorded
+// digest. The workload seed draws the key stream and the open loop's
+// Poisson schedule.
+//
+// sp_serve is launched three times per run; setup_s is the median launch →
+// first answer time. Launch 1 serves the open loop without reloads for a
+// third of the run: the server's CPU time per QUERY frame there is the
+// query path's cost (items_per_s). Launch 2 serves the same open loop for
+// the rest of the run while a 4th connection sends a RELOAD every 250 ms,
+// alternating delta-m.spdl with month m-1's full .sibdb (op_p50_ms is the
+// RELOAD round trip).
+//
+// Every QUERY answer is compared byte for byte with an in-process
+// LookupEngine over the same snapshot (chosen by the answer's generation),
+// every RELOAD must bump the generation by one, and a QUERY sent right
+// after it must answer from the new snapshot.
 //
 // The open-loop generator sends each connection's frames on a seeded
 // Poisson schedule that does not slow when the server does, and times
 // each frame from when it was due. A generator that itself fell behind
 // — half of its frames sent more than the 1 ms SLO late — invalidates
-// the run. Short host stalls (a descheduled vCPU) still show
-// in loadgen.late_p99_us without invalidating it.
+// the run. Short host stalls (a descheduled vCPU) still show in
+// loadgen.late_p99_us without invalidating it.
 #include "serve.h"
 
 #include <arpa/inet.h>
@@ -28,6 +38,7 @@
 #include <sys/prctl.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -48,10 +59,20 @@ namespace perfbench {
 
 namespace {
 
+constexpr std::uint64_t kUniverseSeed = 42;
 constexpr int kCampaignMonths = 12;
 constexpr int kCampaignOrgs = 1000;
 constexpr unsigned kServerWorkers = 2;
 constexpr int kLaunches = 3;
+constexpr std::size_t kConnections = 3;
+// The offered QUERY load, the same for every run: a light load at which
+// each frame is served as it arrives. The quiet launch measures the
+// server's CPU time per frame at this rate: about 25 us (37k-43k frames
+// per CPU second over 20 runs, 4-vCPU host), so 3000 frames/s keep its two
+// workers about 4% busy. Per-frame wake-ups and the reload stalls, not
+// queueing, set the latencies. See README.md.
+constexpr double kOpenLoopFps = 3000.0;
+constexpr auto kReloadPeriod = std::chrono::milliseconds(250);
 constexpr double kSloUs = 1000.0;
 constexpr auto kDrainTimeout = std::chrono::seconds(5);
 constexpr auto kSpin = std::chrono::microseconds(250);
@@ -68,16 +89,18 @@ struct ServedData {
 std::optional<ServedData> prepare_served_data(const Options& options, Result& result) {
   const std::string dir = std::filesystem::absolute(options.work_dir + "/campaign").string();
   sp::pipeline::CampaignConfig config;
-  config.synth.seed = options.seed;
+  config.synth.seed = kUniverseSeed;
   config.synth.months = kCampaignMonths;
   config.synth.organization_count = kCampaignOrgs;
   config.threads = kThreads;
   config.out_dir = dir;
   const auto report = sp::pipeline::Campaign(config).run(false);
   if (!result.check(report.ok, "serve data campaign failed: " + report.error)) return std::nullopt;
-  if (const auto digest = digest_files(dir, "siblings-", {".csv", ".sibdb"})) {
-    check_digest(result, options, *digest);
+  const auto digest = digest_files(dir, "siblings-", {".csv", ".sibdb"});
+  if (!result.check(digest.has_value(), "serve data campaign published no lists")) {
+    return std::nullopt;
   }
+  check_digest(result, options, *digest);
 
   std::vector<std::string> snapshots;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
@@ -269,6 +292,15 @@ class ServerProcess {
   [[nodiscard]] double setup_ms() const noexcept { return setup_ms_; }
   [[nodiscard]] long peak_rss_kb() const { return perfbench::peak_rss_kb(pid_); }
 
+  /// CPU time the server process has used so far (all its threads), in
+  /// seconds; -1 when the kernel does not expose it.
+  [[nodiscard]] double cpu_seconds() const {
+    clockid_t clock;
+    timespec now{};
+    if (::clock_getcpuclockid(pid_, &clock) != 0 || ::clock_gettime(clock, &now) != 0) return -1.0;
+    return static_cast<double>(now.tv_sec) + static_cast<double>(now.tv_nsec) * 1e-9;
+  }
+
   [[nodiscard]] std::optional<sp::net::StatsPayload> stats() const {
     auto socket = Socket::connect(port_);
     std::vector<std::uint8_t> request;
@@ -307,7 +339,7 @@ class ServerProcess {
 };
 
 // ---------------------------------------------------------------------------
-// Answer checking shared by the generators.
+// Answer checking.
 
 /// Which engine variant answers for a generation; -1 = none may.
 using VariantOf = std::function<int(std::uint64_t generation)>;
@@ -351,13 +383,11 @@ struct OpenLoopResult {
   std::vector<double> late_us;     // send time − due time
   std::uint64_t sent = 0, answered = 0, wrong = 0, over_slo = 0;
   std::size_t max_outstanding = 0;
-  std::vector<double> traced_us, untraced_us;  // latency by trace half (traced runs)
 };
 
 OpenLoopResult run_open_loop(std::uint16_t port, const FramePool& pool, std::uint64_t seed,
                              std::uint64_t conn, double fps, Clock::time_point start,
-                             Clock::time_point end, Clock::time_point trace_from,
-                             const VariantOf& variant_of) {
+                             Clock::time_point end, const VariantOf& variant_of) {
   OpenLoopResult out;
   pin_to(kLoadCpus);
   auto socket = Socket::connect(port);
@@ -406,7 +436,6 @@ OpenLoopResult run_open_loop(std::uint16_t port, const FramePool& pool, std::uin
       out.latency_us.push_back(latency);
       out.due_s.push_back(std::chrono::duration<double>(head.due - start).count());
       out.over_slo += latency > kSloUs ? 1 : 0;
-      (head.due >= trace_from ? out.traced_us : out.untraced_us).push_back(latency);
       if (!check_answer(*response, head.id, pool.expected, head.id % pool.requests.size(),
                         variant_of)
                .ok) {
@@ -426,49 +455,6 @@ OpenLoopResult run_open_loop(std::uint16_t port, const FramePool& pool, std::uin
 }
 
 // ---------------------------------------------------------------------------
-// Closed loop: `pipeline` frames in flight per connection.
-
-struct ClosedLoopResult {
-  std::uint64_t frames = 0, wrong = 0;
-  std::vector<double> answered_s;  // per answered frame, from the phase start
-  std::vector<double> keys;        // its key count
-  bool ok = false;
-};
-
-ClosedLoopResult run_closed_loop(std::uint16_t port, const FramePool& pool, unsigned pipeline,
-                                 Clock::time_point start, Clock::time_point end,
-                                 const VariantOf& variant_of) {
-  ClosedLoopResult out;
-  pin_to(kLoadCpus);
-  auto socket = Socket::connect(port);
-  if (!socket) return out;
-  std::vector<std::uint8_t> frame;
-  std::uint32_t next_id = 0, next_answer = 0;
-  const auto send_next = [&] {
-    frame = pool.requests[next_id % pool.requests.size()];
-    patch_request_id(frame, next_id);
-    ++next_id;
-    return socket->send_all(frame);
-  };
-  for (unsigned i = 0; i < pipeline; ++i) {
-    if (!send_next()) return out;
-  }
-  while (next_answer < next_id) {
-    const auto response = socket->read_frame(Clock::now() + kDrainTimeout);
-    if (!response) return out;
-    const std::size_t index = next_answer % pool.requests.size();
-    if (!check_answer(*response, next_answer, pool.expected, index, variant_of).ok) ++out.wrong;
-    ++out.frames;
-    out.answered_s.push_back(std::chrono::duration<double>(Clock::now() - start).count());
-    out.keys.push_back(static_cast<double>(pool.keys[index].size()));
-    ++next_answer;
-    if (Clock::now() < end && !send_next()) return out;
-  }
-  out.ok = true;
-  return out;
-}
-
-// ---------------------------------------------------------------------------
 // Reload churn: one connection alternating delta and full RELOADs.
 
 struct ReloadResult {
@@ -479,7 +465,7 @@ struct ReloadResult {
 
 ReloadResult run_reloads(std::uint16_t port, const ServedData& data, const FramePool& pool,
                          Clock::time_point start, Clock::time_point end,
-                         std::chrono::milliseconds period, const VariantOf& variant_of) {
+                         const VariantOf& variant_of) {
   ReloadResult out;
   pin_to(kLoadCpus);
   const auto fail = [&out](const std::string& what) {
@@ -494,8 +480,8 @@ ReloadResult run_reloads(std::uint16_t port, const ServedData& data, const Frame
   }
   std::uint64_t generation = 1;
   std::vector<std::uint8_t> request;
-  for (std::uint32_t k = 0; start + period * (k + 1) < end; ++k) {
-    std::this_thread::sleep_until(start + period * (k + 1));
+  for (std::uint32_t k = 0; start + kReloadPeriod * (k + 1) < end; ++k) {
+    std::this_thread::sleep_until(start + kReloadPeriod * (k + 1));
     const bool delta = k % 2 == 0;  // the server starts on month m-1
     request.clear();
     sp::net::encode_reload_request(request, {delta ? data.delta : data.prev_db});
@@ -564,24 +550,6 @@ std::optional<Engines> load_engines(const std::vector<std::string>& paths, Resul
   return engines;
 }
 
-/// Launch → first answer for `kLaunches` fresh servers; `phase(i, server)`
-/// runs the measured traffic on launch i while the server is up.
-template <typename Phase>
-std::vector<double> launch_servers(const Options& options, const std::string& db, Result& result,
-                                   Phase&& phase) {
-  std::vector<double> setup_ms;
-  for (int i = 0; i < kLaunches; ++i) {
-    ServerProcess server;
-    std::string error;
-    const std::string log = options.work_dir + "/sp_serve-" + std::to_string(i) + ".log";
-    if (!result.check(server.start(options, db, log, &error), "launch failed: " + error)) continue;
-    setup_ms.push_back(server.setup_ms());
-    phase(i, server);
-    server.stop();
-  }
-  return setup_ms;
-}
-
 void add_stats_layers(Result& result, const ServerProcess& server, double client_p50_us) {
   const auto stats = server.stats();
   if (!result.check(stats.has_value(), "STATS failed")) return;
@@ -592,58 +560,38 @@ void add_stats_layers(Result& result, const ServerProcess& server, double client
   result.layer("net.queue_wire_us", client_p50_us - stats->frame_p50_us, "us");
 }
 
-/// Windowed statistics: the host's transient stalls land in a few windows
-/// and the median across windows ignores them, while an effect present
-/// in every window (reload stalls every 250 ms) is kept.
-constexpr double kWindowS = 1.0;
-
-/// Median over kWindowS windows of each window's q-quantile of `values`.
+/// Median over 1-s windows of each window's q-quantile of `values`: the
+/// host's transient stalls land in a few windows and the median across
+/// windows ignores them, while an effect present in every window (reload
+/// stalls every 250 ms) is kept.
 double windowed_quantile(const std::vector<double>& at_s, const std::vector<double>& values,
                          double q) {
   std::map<long, std::vector<double>> windows;
   for (std::size_t i = 0; i < values.size(); ++i) {
-    windows[static_cast<long>(at_s[i] / kWindowS)].push_back(values[i]);
+    windows[static_cast<long>(at_s[i])].push_back(values[i]);
   }
   std::vector<double> per_window;
   for (auto& [index, window] : windows) per_window.push_back(quantile(std::move(window), q));
   return median(per_window);
 }
 
-/// Median over the whole kWindowS windows before `end_s` of the window's
-/// summed `values` per second.
-double windowed_rate(const std::vector<double>& at_s, const std::vector<double>& values,
-                     double end_s) {
-  const auto windows = static_cast<std::size_t>(end_s / kWindowS);
-  std::vector<double> sums(std::max<std::size_t>(windows, 1), 0.0);
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    const auto index = static_cast<std::size_t>(at_s[i] / kWindowS);
-    if (index < sums.size()) sums[index] += values[i];
-  }
-  for (double& sum : sums) sum /= kWindowS;
-  return median(sums);
-}
-
 struct OpenLoopSummary {
-  std::vector<double> latency_us, due_s, late_us, traced_us, untraced_us;
+  std::vector<double> latency_us, due_s, late_us;
   std::uint64_t sent = 0, answered = 0, wrong = 0, over_slo = 0;
   std::size_t max_outstanding = 0;
   double seconds = 0.0;
 };
 
 OpenLoopSummary run_open_loop_phase(std::uint16_t port, const std::vector<FramePool>& pools,
-                                    const Options& options, double fps, Clock::time_point start,
+                                    const Options& options, Clock::time_point start,
                                     Clock::time_point end, const VariantOf& variant_of,
                                     Result& result) {
-  // Traced runs keep per-frame spans for the second half of the phase;
-  // the first half is the untraced baseline of trace.overhead_ms.
-  const Clock::time_point trace_from =
-      options.trace ? start + (end - start) / 2 : Clock::time_point::max();
   std::vector<OpenLoopResult> results(pools.size());
   std::vector<std::thread> threads;
   for (std::size_t c = 0; c < pools.size(); ++c) {
     threads.emplace_back([&, c] {
-      results[c] = run_open_loop(port, pools[c], options.seed, c, fps / pools.size(), start, end,
-                                 trace_from, variant_of);
+      results[c] = run_open_loop(port, pools[c], options.seed, c, kOpenLoopFps / pools.size(),
+                                 start, end, variant_of);
     });
   }
   for (std::thread& thread : threads) thread.join();
@@ -660,9 +608,6 @@ OpenLoopSummary run_open_loop_phase(std::uint16_t port, const std::vector<FrameP
     summary.wrong += r.wrong;
     summary.over_slo += r.over_slo;
     summary.max_outstanding = std::max(summary.max_outstanding, r.max_outstanding);
-    summary.traced_us.insert(summary.traced_us.end(), r.traced_us.begin(), r.traced_us.end());
-    summary.untraced_us.insert(summary.untraced_us.end(), r.untraced_us.begin(),
-                               r.untraced_us.end());
   }
   // Every frame is one checked operation; unanswered or wrong ones fail
   // and count as SLO misses.
@@ -681,16 +626,14 @@ OpenLoopSummary run_open_loop_phase(std::uint16_t port, const std::vector<FrameP
   return summary;
 }
 
-/// Reports the open-loop figures; returns the windowed query p50 in µs.
-double report_open_loop(Result& result, const OpenLoopSummary& s, const Options& options) {
-  const double p50 = windowed_quantile(s.due_s, s.latency_us, 0.5);
-  const double p99 = windowed_quantile(s.due_s, s.latency_us, 0.99);
+/// Reports the churn phase's query figures.
+void report_open_loop(Result& result, const OpenLoopSummary& s) {
   const double slo_miss = s.sent == 0 ? 1.0
                                       : static_cast<double>(s.over_slo + s.sent - s.answered +
                                                             s.wrong) /
                                             static_cast<double>(s.sent);
-  result.note("query_p50_us", p50, "us");
-  result.note("query_p99_us", p99, "us");
+  result.note("query_p50_us", windowed_quantile(s.due_s, s.latency_us, 0.5), "us");
+  result.note("query_p99_us", windowed_quantile(s.due_s, s.latency_us, 0.99), "us");
   result.note("query_p99_whole_run_us", quantile(s.latency_us, 0.99), "us");
   result.note("query_max_us", quantile(s.latency_us, 1.0), "us");
   result.note("query_slo_miss_ratio", slo_miss, "ratio");
@@ -698,12 +641,6 @@ double report_open_loop(Result& result, const OpenLoopSummary& s, const Options&
   result.note("open_loop_fps", static_cast<double>(s.sent) / s.seconds, "1/s");
   result.layer("loadgen.late_p99_us", quantile(s.late_us, 0.99), "us");
   result.layer("loadgen.max_outstanding", static_cast<double>(s.max_outstanding), "count");
-  if (options.trace) {
-    result.layer("trace.op_ms", quantile(s.traced_us, 0.5) / 1e3, "ms");
-    result.layer("trace.overhead_ms",
-                 (quantile(s.traced_us, 0.5) - quantile(s.untraced_us, 0.5)) / 1e3, "ms");
-  }
-  return p50;
 }
 
 /// Splits the client frame p50 into the server-side layers (decode,
@@ -723,79 +660,11 @@ void account_frame(Result& result, double client_p50_us, double keys_per_frame) 
                "us");
 }
 
-std::vector<FramePool> make_pools(const Engines& engines, std::size_t conns, std::size_t frames,
-                                  unsigned min_keys, unsigned max_keys, std::uint64_t seed) {
-  std::vector<FramePool> pools;
-  for (std::size_t c = 0; c < conns; ++c) {
-    pools.push_back(make_frame_pool(engines.dbs.back(), engines.pointers(), KeyMix{}, seed, c,
-                                    frames, min_keys, max_keys));
-  }
-  return pools;
+Clock::time_point after(Clock::time_point start, double seconds) {
+  return start + std::chrono::duration_cast<Clock::duration>(std::chrono::duration<double>(seconds));
 }
 
 }  // namespace
-
-Result run_serve_bulk(const Options& options) {
-  Result result;
-  const auto data = prepare_served_data(options, result);
-  if (!data) return result;
-  const auto engines = load_engines({data->last_db}, result);
-  if (!engines) return result;
-  constexpr unsigned kKeys = 256;
-  const std::vector<FramePool> pools = make_pools(*engines, 2, 256, kKeys, kKeys, options.seed);
-  const VariantOf only_first = [](std::uint64_t generation) { return generation == 1 ? 0 : -1; };
-
-  double kps = 0.0, peak_mb = 0.0;
-  OpenLoopSummary open;
-  const auto setup_ms = launch_servers(options, data->last_db, result, [&](int i, ServerProcess& server) {
-    // 40% of the run closed loop, 60% open loop.
-    const double phase_s = options.seconds * (i == 0 ? 0.4 : 0.6);
-    if (i == 0) {
-      // Closed loop: 2 connections × pipeline 8, keys answered per wall second.
-      const Clock::time_point start = Clock::now();
-      const Clock::time_point end = start + std::chrono::duration_cast<Clock::duration>(
-                                                std::chrono::duration<double>(phase_s));
-      std::vector<ClosedLoopResult> closed(pools.size());
-      std::vector<std::thread> threads;
-      for (std::size_t c = 0; c < pools.size(); ++c) {
-        threads.emplace_back(
-            [&, c] { closed[c] = run_closed_loop(server.port(), pools[c], 8, start, end, only_first); });
-      }
-      for (std::thread& thread : threads) thread.join();
-      std::vector<double> answered_s, keys;
-      for (const ClosedLoopResult& r : closed) {
-        result.check(r.ok, "closed-loop connection failed");
-        result.attempted += r.frames;
-        result.failed += r.wrong;
-        answered_s.insert(answered_s.end(), r.answered_s.begin(), r.answered_s.end());
-        keys.insert(keys.end(), r.keys.begin(), r.keys.end());
-      }
-      kps = windowed_rate(answered_s, keys, phase_s) / 1e3;
-    } else if (i == 1) {
-      const Clock::time_point start = Clock::now() + std::chrono::milliseconds(20);
-      const Clock::time_point end = start + std::chrono::duration_cast<Clock::duration>(
-                                                std::chrono::duration<double>(phase_s));
-      open = run_open_loop_phase(server.port(), pools, options, options.open_loop_fps, start,
-                                 end, only_first, result);
-      peak_mb = static_cast<double>(server.peak_rss_kb()) / 1024.0;
-      if (options.trace) add_stats_layers(result, server, quantile(open.latency_us, 0.5));
-    }
-  });
-
-  result.end_to_end["op_p50_ms"] = {report_open_loop(result, open, options) / 1e3, "ms"};
-  result.end_to_end["items_per_s"] = {kps * 1e3, "1/s"};
-  result.end_to_end["setup_s"] = {median(setup_ms) / 1e3, "s"};
-  result.end_to_end["peak_rss_mb"] = {peak_mb, "MB"};
-  result.note("query_kps", kps, "1000/s");
-  result.note("setup_s", median(setup_ms) / 1e3, "s");
-  result.note("peak_rss_mb", peak_mb, "MB");
-
-  if (options.trace) {
-    probe_serve_layers(result, {data->last_db, data->prev_db, data->delta, &pools[0]});
-    account_frame(result, quantile(open.latency_us, 0.5), kKeys);
-  }
-  return result;
-}
 
 Result run_serve_reload(const Options& options) {
   Result result;
@@ -805,46 +674,72 @@ Result run_serve_reload(const Options& options) {
   // every full RELOAD), variant 1 for even ones (the applied delta).
   const auto engines = load_engines({data->prev_db, data->last_db}, result);
   if (!engines) return result;
-  const std::vector<FramePool> pools = make_pools(*engines, 3, 2048, 1, 16, options.seed);
+  std::vector<FramePool> pools;
+  for (std::size_t c = 0; c < kConnections; ++c) {
+    pools.push_back(make_frame_pool(engines->dbs.back(), engines->pointers(), KeyMix{},
+                                    options.seed, c, 2048, 1, 16));
+  }
   const VariantOf by_parity = [](std::uint64_t generation) {
     return generation == 0 ? -1 : static_cast<int>((generation + 1) % 2);
   };
 
-  double peak_mb = 0.0;
-  OpenLoopSummary open;
+  const double quiet_s = options.seconds / 3.0;
+  const double churn_s = options.seconds - quiet_s;
+  double peak_mb = 0.0, server_cpu_s = 0.0;
+  OpenLoopSummary quiet, churn;
   ReloadResult reloads;
-  const auto setup_ms = launch_servers(options, data->prev_db, result, [&](int i, ServerProcess& server) {
-    if (i != kLaunches - 1) return;
+  std::vector<double> setup_ms;
+  for (int i = 0; i < kLaunches; ++i) {
+    ServerProcess server;
+    std::string error;
+    const std::string log = options.work_dir + "/sp_serve-" + std::to_string(i) + ".log";
+    if (!result.check(server.start(options, data->prev_db, log, &error),
+                      "launch failed: " + error)) {
+      continue;
+    }
+    setup_ms.push_back(server.setup_ms());
     const Clock::time_point start = Clock::now() + std::chrono::milliseconds(20);
-    const Clock::time_point end = start + std::chrono::duration_cast<Clock::duration>(
-                                              std::chrono::duration<double>(options.seconds));
-    std::thread reloader([&] {
-      reloads = run_reloads(server.port(), *data, pools[0], start, end,
-                            std::chrono::milliseconds(250), by_parity);
-    });
-    open = run_open_loop_phase(server.port(), pools, options, options.open_loop_fps, start, end,
-                               by_parity, result);
-    reloader.join();
-    peak_mb = static_cast<double>(server.peak_rss_kb()) / 1024.0;
-    if (options.trace) add_stats_layers(result, server, quantile(open.latency_us, 0.5));
-  });
+    if (i == 1) {
+      // The query path alone: the server's CPU time over the quiet phase,
+      // drain included, per frame answered.
+      const double cpu_before = server.cpu_seconds();
+      quiet = run_open_loop_phase(server.port(), pools, options, start, after(start, quiet_s),
+                                  by_parity, result);
+      server_cpu_s = server.cpu_seconds() - cpu_before;
+      result.check(cpu_before >= 0 && server_cpu_s > 0, "cannot read sp_serve's CPU time");
+    } else if (i == 2) {
+      const Clock::time_point end = after(start, churn_s);
+      std::thread reloader([&] {
+        reloads = run_reloads(server.port(), *data, pools[0], start, end, by_parity);
+      });
+      churn = run_open_loop_phase(server.port(), pools, options, start, end, by_parity, result);
+      reloader.join();
+      peak_mb = static_cast<double>(server.peak_rss_kb()) / 1024.0;
+      if (options.trace) add_stats_layers(result, server, quantile(churn.latency_us, 0.5));
+    }
+    server.stop();
+  }
   result.attempted += reloads.attempted;
   result.failed += reloads.failed;
   for (const std::string& failure : reloads.failures) result.failures.push_back(failure);
 
-  report_open_loop(result, open, options);
-  // The workload's unit of work is the RELOAD; the query latency under
-  // churn is reported beside it. items_per_s is the goodput: frames
-  // answered within the SLO per second, which reload stalls push down.
+  const double frames_per_cpu_s =
+      server_cpu_s > 0 ? static_cast<double>(quiet.answered) / server_cpu_s : 0.0;
   result.end_to_end["op_p50_ms"] = {median(reloads.rtt_ms), "ms"};
-  result.end_to_end["items_per_s"] = {
-      static_cast<double>(open.answered - open.over_slo) / open.seconds, "1/s"};
+  result.end_to_end["items_per_s"] = {frames_per_cpu_s, "1/s"};
   result.end_to_end["setup_s"] = {median(setup_ms) / 1e3, "s"};
   result.end_to_end["peak_rss_mb"] = {peak_mb, "MB"};
+
+  report_open_loop(result, churn);
   result.note("reload_ms", median(reloads.rtt_ms), "ms");
   result.note("reload_delta_ms", median(reloads.delta_rtt_ms), "ms");
   result.note("reload_full_ms", median(reloads.full_rtt_ms), "ms");
   result.note("reloads", static_cast<double>(reloads.rtt_ms.size()), "count");
+  result.note("quiet_query_p50_us", windowed_quantile(quiet.due_s, quiet.latency_us, 0.5), "us");
+  result.note("quiet_server_cpu_us_per_frame",
+              quiet.answered > 0 ? server_cpu_s * 1e6 / static_cast<double>(quiet.answered) : 0.0,
+              "us");
+  result.note("quiet_frames_per_cpu_s", frames_per_cpu_s, "1/s");
   result.note("setup_s", median(setup_ms) / 1e3, "s");
   result.note("peak_rss_mb", peak_mb, "MB");
 
@@ -852,7 +747,11 @@ Result run_serve_reload(const Options& options) {
     probe_serve_layers(result, {data->last_db, data->prev_db, data->delta, &pools[0]});
     double keys = 0.0;
     for (const auto& frame_keys : pools[0].keys) keys += static_cast<double>(frame_keys.size());
-    account_frame(result, quantile(open.latency_us, 0.5), keys / pools[0].keys.size());
+    account_frame(result, quantile(churn.latency_us, 0.5), keys / pools[0].keys.size());
+    // Nothing is recorded while the traffic runs: STATS is scraped and the
+    // probes run after it, so the traced op is the untraced one.
+    result.layer("trace.op_ms", median(reloads.rtt_ms), "ms");
+    result.layer("trace.overhead_ms", 0.0, "ms");
   }
   return result;
 }
