@@ -7,7 +7,6 @@
 
 #include "bench_common.h"
 #include "bench_json_main.h"
-#include "core/detect_parallel.h"
 #include "dns/wire.h"
 #include "mrt/codec.h"
 #include "he/happy_eyeballs.h"
@@ -118,15 +117,17 @@ void BM_DetectSiblingsSerial(benchmark::State& state) {
 }
 BENCHMARK(BM_DetectSiblingsSerial);
 
-// The sharded engine at 1/2/4/8 workers; byte-identical output to the
-// serial baseline above, so time-per-iteration is directly comparable.
+// The sharded driver at 1/2/4/8 workers; byte-identical output to the
+// serial baseline above, so time-per-iteration is directly comparable
+// (each iteration also starts its worker pool, as every caller does).
 void BM_DetectSiblings(benchmark::State& state) {
   const auto& corpus = spbench::corpus_at(spbench::last_month());
-  core::ParallelDetector detector(static_cast<unsigned>(state.range(0)));
+  core::DetectStats stats;
+  const core::DetectOptions options{.threads = static_cast<unsigned>(state.range(0)),
+                                    .stats = &stats};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(detector.detect(corpus));
+    benchmark::DoNotOptimize(core::detect_sibling_prefixes(corpus, options));
   }
-  const core::DetectStats& stats = detector.stats();
   state.counters["prefixes"] = static_cast<double>(stats.prefixes_scanned);
   state.counters["candidates"] = static_cast<double>(stats.candidates_evaluated);
   state.counters["emitted"] = static_cast<double>(stats.pairs_emitted);

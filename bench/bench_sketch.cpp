@@ -73,17 +73,17 @@ BENCHMARK(BM_DetectExact)->Arg(10)->Iterations(1)->Unit(benchmark::kMillisecond)
 
 void BM_DetectSketch(benchmark::State& state) {
   const auto& corpus = corpus_at(static_cast<int>(state.range(0))).corpus;
-  sketch::SketchStats stats;
+  core::DetectStats stats;
   std::size_t pairs = 0;
   for (auto _ : state) {
-    const auto result = sketch::detect_sibling_prefixes(
-        corpus, {.threads = 1, .strategy = core::DetectStrategy::Sketch}, {}, &stats);
+    const auto result =
+        sketch::detect_sibling_prefixes(corpus, {.threads = 1, .stats = &stats});
     pairs = result.size();
     benchmark::DoNotOptimize(pairs);
   }
   state.counters["pairs"] = static_cast<double>(pairs);
   state.counters["signature_build_ms"] = stats.signature_build_ms;
-  state.counters["sources_total"] = static_cast<double>(stats.sources_total);
+  state.counters["sources_total"] = static_cast<double>(stats.prefixes_scanned);
   state.counters["sources_fallback"] = static_cast<double>(stats.sources_fallback);
   state.counters["lsh_candidates"] = static_cast<double>(stats.lsh_candidates);
   state.counters["estimates_skipped"] = static_cast<double>(stats.estimates_skipped);
@@ -115,8 +115,7 @@ void BM_Identity(benchmark::State& state) {
   std::size_t mismatches = 0;
   for (auto _ : state) {
     const auto exact = core::detect_sibling_prefixes(corpus, {.threads = 1});
-    const auto sketched = sketch::detect_sibling_prefixes(
-        corpus, {.threads = 1, .strategy = core::DetectStrategy::Sketch});
+    const auto sketched = sketch::detect_sibling_prefixes(corpus, {.threads = 1});
     if (exact.size() != sketched.size()) {
       ++mismatches;
     } else {

@@ -9,18 +9,17 @@
 //
 //   sp_pipeline run <out_dir> [--months N] [--orgs N] [--seed S]
 //                   [--threads T] [--v4 N] [--v6 N] [--trace FILE]
-//                   [--detect stream|full]
 //   sp_pipeline resume <out_dir> [--threads T] [--trace FILE]
 //   sp_pipeline status <out_dir>                 # per-stage manifest table;
 //                                                # re-hashes artifacts and
 //                                                # reports deleted/corrupted
 //                                                # outputs as "stale"
 //
-// --detect stream (the default) runs detection incrementally: each month
-// applies a corpus delta to the previous month's warm detector state and
-// re-scores only the affected prefixes; the pairs CSVs are byte-identical
-// to --detect full. Consecutive .sibdb snapshots are additionally diffed
-// into delta-<date>.spdl patch files sp_serve can RELOAD directly.
+// Detection runs incrementally: each month applies a corpus delta to the
+// previous month's warm detector state and re-scores only the affected
+// prefixes; the pairs CSVs are byte-identical to a from-scratch run.
+// Consecutive .sibdb snapshots are additionally diffed into
+// delta-<date>.spdl patch files sp_serve can RELOAD directly.
 //
 // --trace writes a Chrome-trace-format JSON of every stage execution
 // (one span per stage, on the worker that ran it) — load it in Perfetto
@@ -214,14 +213,6 @@ int campaign_run(int argc, char** argv) {
     else if (flag == "--v4") config.v4_threshold = static_cast<unsigned>(value);
     else if (flag == "--v6") config.v6_threshold = static_cast<unsigned>(value);
     else if (flag == "--trace") config.trace_path = argv[i + 1];
-    else if (flag == "--detect") {
-      const std::string mode = argv[i + 1];
-      if (mode != "stream" && mode != "full") {
-        std::fprintf(stderr, "error: --detect must be 'stream' or 'full'\n");
-        return 2;
-      }
-      config.stream_detect = mode == "stream";
-    }
     else {
       std::fprintf(stderr, "error: unknown flag %s\n", flag.c_str());
       return 2;
@@ -308,7 +299,7 @@ int main(int argc, char** argv) {
   if (argc != 4 && argc != 6) {
     std::fprintf(stderr,
                  "usage: %s run <out_dir> [--months N] [--orgs N] [--seed S] [--threads T]"
-                 " [--v4 N] [--v6 N] [--trace FILE] [--detect stream|full]\n"
+                 " [--v4 N] [--v6 N] [--trace FILE]\n"
                  "       %s resume <out_dir> [--threads T] [--trace FILE]\n"
                  "       %s status <out_dir>\n"
                  "       %s <rib.mrt> <snapshot.csv|zonefile.zone> <out.csv> [v4_thresh v6_thresh]\n"

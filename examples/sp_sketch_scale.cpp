@@ -81,19 +81,22 @@ int main(int argc, char** argv) {
   }
 
   start = std::chrono::steady_clock::now();
-  sketch::SketchStats stats;
-  const auto sketched = sketch::detect_sibling_prefixes(
-      corpus, {.threads = threads, .strategy = core::DetectStrategy::Sketch}, {}, &stats);
+  core::DetectStats stats;
+  const auto sketched =
+      sketch::detect_sibling_prefixes(corpus, {.threads = threads, .stats = &stats});
   const double sketch_ms = ms_since(start);
   if (!quiet) {
     std::printf("sketch:   %zu pairs in %.0f ms (%.0f ms signatures, "
-                "%zu/%zu sources fell back, %zu LSH candidates, "
-                "%zu estimates skipped, %zu survivors verified)\n",
+                "%llu/%llu sources fell back, %llu LSH candidates, "
+                "%llu estimates skipped, %llu survivors verified)\n",
                 sketched.size(), sketch_ms, stats.signature_build_ms,
-                stats.sources_fallback, stats.sources_total, stats.lsh_candidates,
-                stats.estimates_skipped, stats.survivors_verified);
+                static_cast<unsigned long long>(stats.sources_fallback),
+                static_cast<unsigned long long>(stats.prefixes_scanned),
+                static_cast<unsigned long long>(stats.lsh_candidates),
+                static_cast<unsigned long long>(stats.estimates_skipped),
+                static_cast<unsigned long long>(stats.survivors_verified));
     std::printf("          directions %.0f + %.0f ms, merge %.0f ms\n",
-                stats.scan.v4_direction_ms, stats.scan.v6_direction_ms, stats.scan.merge_ms);
+                stats.v4_direction_ms, stats.v6_direction_ms, stats.merge_ms);
   }
 
   if (!run_exact) return 0;

@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--scale") {
       config.scale = next();
     } else if (arg == "--sketch") {
-      options.strategy = core::DetectStrategy::Sketch;
+      options.sketch = sketch::SketchParams{};
       options.sketch_min_dirty = 0;
     } else if (arg == "--quiet") {
       quiet = true;

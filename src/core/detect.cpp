@@ -1,8 +1,10 @@
 #include "core/detect.h"
 
+#include <chrono>
 #include <stdexcept>
 
-#include "core/detect_parallel.h"
+#include "core/detect_scan.h"
+#include "obs/metrics.h"
 
 namespace sp::core {
 
@@ -60,22 +62,30 @@ const DomainSet* SetCorpus::domains_of(const Prefix& prefix) const noexcept {
 
 namespace {
 
-// The sketch engine lives a layer above (sp_sketch depends on sp_core);
-// reaching it through a core entry point would invert the dependency, so
-// the strategy is rejected here with a pointer at the right call.
-void reject_sketch_strategy(const DetectOptions& options) {
-  if (options.strategy == DetectStrategy::Sketch) {
-    throw std::logic_error(
-        "DetectStrategy::Sketch requires the sp::sketch engine — call "
-        "sketch::detect_sibling_prefixes (src/sketch/detect_sketch.h)");
-  }
-}
-
 std::vector<SiblingPair> detect_indexed(const DetectIndex& index, const DetectOptions& options) {
-  reject_sketch_strategy(options);
-  ParallelDetector detector(options.threads);
-  auto pairs = detector.detect(index, options);
-  if (options.stats != nullptr) *options.stats = detector.stats();
+  const auto run_start = std::chrono::steady_clock::now();
+  WorkerPool pool(options.threads);
+  DetectStats stats;
+  stats.threads_used = pool.thread_count();
+  auto pairs = detail::detect_all(
+      pool, index, "detect", stats,
+      [&](Family from, std::uint32_t source, detail::ScanScratch& scratch,
+          std::vector<SiblingPair>& out, DetectStats& local) {
+        detail::scan_source(index.side(from),
+                            index.side(from == Family::v4 ? Family::v6 : Family::v4), from,
+                            options.metric, source, scratch, out, local);
+      });
+
+  // Registry updates once per run, never per prefix: aggregate counts and
+  // one whole-run latency sample.
+  auto& registry = obs::MetricsRegistry::global();
+  registry.counter("detect.runs").add();
+  registry.counter("detect.pairs_emitted").add(static_cast<std::int64_t>(pairs.size()));
+  registry.counter("detect.candidates_evaluated")
+      .add(static_cast<std::int64_t>(stats.candidates_evaluated));
+  registry.histogram("detect.run_us")
+      .record(static_cast<std::uint64_t>(detail::elapsed_ms(run_start) * 1000.0));
+  if (options.stats != nullptr) *options.stats = stats;
   return pairs;
 }
 
@@ -93,13 +103,11 @@ std::vector<SiblingPair> detect_sibling_prefixes(const SetCorpus& corpus,
 
 std::vector<SiblingPair> detect_sibling_prefixes_serial(const DualStackCorpus& corpus,
                                                         const DetectOptions& options) {
-  reject_sketch_strategy(options);
   return detail::detect_over(corpus, options);
 }
 
 std::vector<SiblingPair> detect_sibling_prefixes_serial(const SetCorpus& corpus,
                                                         const DetectOptions& options) {
-  reject_sketch_strategy(options);
   return detail::detect_over(corpus, options);
 }
 

@@ -46,39 +46,52 @@ struct SiblingPair {
 
 /// Run counters of one detection pass, for the bench suite and capacity
 /// planning. The counting fields are deterministic (identical for every
-/// thread count); the wall times are not.
+/// thread count); the wall times are not. The sketch engine
+/// (sp::sketch) fills the sketch block too; the exact engine leaves it
+/// zero.
 struct DetectStats {
   std::uint64_t prefixes_scanned = 0;      // source prefixes examined, both directions
   std::uint64_t candidates_evaluated = 0;  // similarity evaluations
   std::uint64_t pairs_emitted = 0;         // best/tie pairs before cross-direction dedup
-  double v4_direction_ms = 0.0;            // wall time, v4→v6 direction
-  double v6_direction_ms = 0.0;            // wall time, v6→v4 direction
-  double merge_ms = 0.0;                   // final sort + dedup
+  // Sketch engine: how each source was routed and what the filter cost.
+  std::uint64_t sources_fallback = 0;        // sources routed to the exact scan
+  std::uint64_t fallback_no_candidates = 0;  // ... because the LSH found none
+  std::uint64_t fallback_low_estimate = 0;   // ... because the best estimate < floor
+  std::uint64_t fallback_low_exact = 0;      // ... because the verified best < floor
+  std::uint64_t lsh_candidates = 0;          // candidates the LSH produced
+  std::uint64_t estimates_skipped = 0;       // merges pruned by the hit bound
+  std::uint64_t survivors_verified = 0;      // exact intersections computed
+  double max_estimate_error = 0.0;           // max |estimate - exact| observed
+  double signature_build_ms = 0.0;           // wall time, signatures + LSH
+  double v4_direction_ms = 0.0;              // wall time, v4→v6 direction
+  double v6_direction_ms = 0.0;              // wall time, v6→v4 direction
+  double merge_ms = 0.0;                     // final sort + dedup
   unsigned threads_used = 0;
-};
 
-/// Which candidate-generation engine detection runs on.
-///
-///   Exact  — the inverted-index scan: every counterpart sharing at least
-///            one element is evaluated (ParallelDetector; the default).
-///   Sketch — bottom-k/MinHash candidate filtering with exact similarity
-///            recomputed on survivors (sp::sketch). The sketch engine
-///            lives in the sp_sketch library, which depends on sp_core —
-///            core entry points reject this value; call
-///            sketch::detect_sibling_prefixes instead, which dispatches
-///            on the strategy and falls back to the exact engine for
-///            DetectStrategy::Exact.
-enum class DetectStrategy : std::uint8_t { Exact, Sketch };
+  /// Adds `other`'s counters (the maximum for max_estimate_error); wall
+  /// times and threads_used are left alone.
+  void add_counters(const DetectStats& other) noexcept {
+    prefixes_scanned += other.prefixes_scanned;
+    candidates_evaluated += other.candidates_evaluated;
+    pairs_emitted += other.pairs_emitted;
+    sources_fallback += other.sources_fallback;
+    fallback_no_candidates += other.fallback_no_candidates;
+    fallback_low_estimate += other.fallback_low_estimate;
+    fallback_low_exact += other.fallback_low_exact;
+    lsh_candidates += other.lsh_candidates;
+    estimates_skipped += other.estimates_skipped;
+    survivors_verified += other.survivors_verified;
+    max_estimate_error = std::max(max_estimate_error, other.max_estimate_error);
+  }
+};
 
 struct DetectOptions {
   Metric metric = Metric::Jaccard;
-  /// Worker threads for the sharded detection engine; 0 picks the hardware
-  /// concurrency. Output is byte-identical for every thread count.
+  /// Worker threads for the sharded detection driver; 0 picks the
+  /// hardware concurrency. Output is byte-identical for every thread count.
   unsigned threads = 0;
   /// When non-null, receives the run's counters.
   DetectStats* stats = nullptr;
-  /// Candidate-generation engine (see DetectStrategy).
-  DetectStrategy strategy = DetectStrategy::Exact;
 };
 
 /// The corpus interface detection runs on.
@@ -174,23 +187,31 @@ void detect_direction(const Corpus& corpus, Metric metric, Family from,
   }
 }
 
+/// The global merge every engine ends with: sort by (v4, v6) and drop
+/// the cross-direction duplicates (both directions emit identical bytes
+/// for a shared pair).
+inline void sort_unique(std::vector<SiblingPair>& pairs) {
+  std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+}
+
 template <SiblingCorpus Corpus>
 [[nodiscard]] std::vector<SiblingPair> detect_over(const Corpus& corpus,
                                                    const DetectOptions& options) {
   std::vector<SiblingPair> pairs;
   detect_direction(corpus, options.metric, Family::v4, pairs);
   detect_direction(corpus, options.metric, Family::v6, pairs);
-  std::sort(pairs.begin(), pairs.end());
-  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  sort_unique(pairs);
   return pairs;
 }
 
 }  // namespace detail
 
 /// Detects sibling prefix pairs over the DNS corpus. Output is sorted by
-/// (v4, v6) and duplicate-free. Runs the sharded ParallelDetector engine
-/// (detect_parallel.h) on `options.threads` workers; the result is
-/// byte-identical to the serial reference for every thread count.
+/// (v4, v6) and duplicate-free. Runs the sharded scan driver
+/// (detect_scan.h) over the corpus's flat index on `options.threads`
+/// workers; the result is byte-identical to the serial reference for
+/// every thread count.
 [[nodiscard]] std::vector<SiblingPair> detect_sibling_prefixes(const DualStackCorpus& corpus,
                                                                const DetectOptions& options = {});
 
@@ -200,7 +221,7 @@ template <SiblingCorpus Corpus>
 
 /// The single-threaded reference implementation (detail::detect_over):
 /// hash-map candidate counting, two similarity passes. Kept as the oracle
-/// for the serial-vs-parallel equivalence harness and as the bench
+/// for the serial-vs-sharded equivalence harness and as the bench
 /// baseline; `options.threads` and `options.stats` are ignored.
 [[nodiscard]] std::vector<SiblingPair> detect_sibling_prefixes_serial(
     const DualStackCorpus& corpus, const DetectOptions& options = {});

@@ -23,15 +23,7 @@ DetectIndex::Side build_side(const std::unordered_map<Prefix, DomainSet>& sets) 
             [](const auto& a, const auto& b) { return a.first < b.first; });
 
   std::size_t total_elements = 0;
-  DomainId max_element = 0;
-  bool any_element = false;
-  for (const auto& [prefix, set] : entries) {
-    total_elements += set->size();
-    if (!set->empty()) {
-      any_element = true;
-      max_element = std::max(max_element, set->back());  // sets are sorted
-    }
-  }
+  for (const auto& [prefix, set] : entries) total_elements += set->size();
 
   // The CSR stores offsets as uint32; past that the offsets silently wrap
   // and postings scatter into the wrong lists, so refuse loudly instead.
@@ -50,27 +42,32 @@ DetectIndex::Side build_side(const std::unordered_map<Prefix, DomainSet>& sets) 
     side.set_offsets.push_back(static_cast<std::uint32_t>(side.set_elements.size()));
   }
 
-  // Counting sort into the posting CSR: pass 1 counts per element, pass 2
-  // scatters dense ids in ascending order (so posting lists come out
-  // sorted without a per-list sort).
-  const std::size_t element_count = any_element ? static_cast<std::size_t>(max_element) + 1 : 0;
-  side.posting_offsets.assign(element_count + 1, 0);
-  for (const DomainId element : side.set_elements) ++side.posting_offsets[element + 1];
-  std::partial_sum(side.posting_offsets.begin(), side.posting_offsets.end(),
-                   side.posting_offsets.begin());
-
-  side.postings.resize(total_elements);
-  std::vector<std::uint32_t> cursor(side.posting_offsets.begin(),
-                                    side.posting_offsets.end() - 1);
-  for (std::uint32_t dense = 0; dense < side.prefixes.size(); ++dense) {
-    for (const DomainId element : side.elements_of(dense)) {
-      side.postings[cursor[element]++] = dense;
-    }
-  }
+  side.build_postings();
   return side;
 }
 
 }  // namespace
+
+void DetectIndex::Side::build_postings() {
+  // One past the largest element; sets are sorted, so each row's last
+  // element is its largest.
+  std::size_t element_bound = 0;
+  for (std::uint32_t dense = 0; dense < prefix_count(); ++dense) {
+    const auto elements = elements_of(dense);
+    if (!elements.empty()) {
+      element_bound = std::max(element_bound, static_cast<std::size_t>(elements.back()) + 1);
+    }
+  }
+  posting_offsets.assign(element_bound + 1, 0);
+  for (const DomainId element : set_elements) ++posting_offsets[element + 1];
+  std::partial_sum(posting_offsets.begin(), posting_offsets.end(), posting_offsets.begin());
+
+  postings.resize(set_elements.size());
+  std::vector<std::uint32_t> cursor(posting_offsets.begin(), posting_offsets.end() - 1);
+  for (std::uint32_t dense = 0; dense < prefix_count(); ++dense) {
+    for (const DomainId element : elements_of(dense)) postings[cursor[element]++] = dense;
+  }
+}
 
 DetectIndex DetectIndex::build(const std::unordered_map<Prefix, DomainSet>& v4_sets,
                                const std::unordered_map<Prefix, DomainSet>& v6_sets) {

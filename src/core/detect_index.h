@@ -61,6 +61,13 @@ struct DetectIndex {
       return {postings.data() + posting_offsets[element],
               postings.data() + posting_offsets[element + 1]};
     }
+
+    /// Derives the posting CSR from the set CSR by counting sort: pass 1
+    /// counts per element, pass 2 scatters dense ids in ascending order,
+    /// so posting lists come out sorted without a per-list sort. The one
+    /// posting build DetectIndex::build and DetectIndexOverlay::apply
+    /// share.
+    void build_postings();
   };
 
   Side v4;

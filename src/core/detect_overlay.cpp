@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <iterator>
 #include <limits>
-#include <numeric>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -44,8 +43,6 @@ DetectIndex::Side apply_side(const DetectIndex::Side& base,
   DetectIndex::Side side;
   side.set_offsets.push_back(0);
   DomainSet merged;
-  DomainId max_element = 0;
-  bool any_element = false;
 
   const auto emit_row = [&](const Prefix& prefix, std::span<const DomainId> elements) {
     if (side.set_elements.size() + elements.size() >
@@ -55,10 +52,6 @@ DetectIndex::Side apply_side(const DetectIndex::Side& base,
     side.prefixes.push_back(prefix);
     side.set_elements.insert(side.set_elements.end(), elements.begin(), elements.end());
     side.set_offsets.push_back(static_cast<std::uint32_t>(side.set_elements.size()));
-    if (!elements.empty()) {
-      any_element = true;
-      max_element = std::max(max_element, elements.back());  // sets are sorted
-    }
   };
 
   std::uint32_t b = 0;
@@ -97,20 +90,8 @@ DetectIndex::Side apply_side(const DetectIndex::Side& base,
     ++d;
   }
 
-  // Pass 2: posting CSR by counting sort, identical to DetectIndex::build.
-  const std::size_t element_count = any_element ? static_cast<std::size_t>(max_element) + 1 : 0;
-  side.posting_offsets.assign(element_count + 1, 0);
-  for (const DomainId element : side.set_elements) ++side.posting_offsets[element + 1];
-  std::partial_sum(side.posting_offsets.begin(), side.posting_offsets.end(),
-                   side.posting_offsets.begin());
-  side.postings.resize(side.set_elements.size());
-  std::vector<std::uint32_t> cursor(side.posting_offsets.begin(),
-                                    side.posting_offsets.end() - 1);
-  for (std::uint32_t dense = 0; dense < side.prefixes.size(); ++dense) {
-    for (const DomainId element : side.elements_of(dense)) {
-      side.postings[cursor[element]++] = dense;
-    }
-  }
+  // Pass 2: the posting CSR, built exactly as DetectIndex::build does.
+  side.build_postings();
   return side;
 }
 

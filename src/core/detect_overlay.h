@@ -5,8 +5,8 @@
 // set growth. The overlay keeps that property while making the index
 // delta-updatable: apply() merges a CorpusDelta into a *fresh* pair of
 // CSR sides, copying the untouched rows' element spans verbatim and
-// rebuilding the posting lists with the same counting sort as
-// DetectIndex::build. Compaction is O(elements) — linear in the corpus,
+// rebuilding the posting lists with DetectIndex::Side::build_postings,
+// the counting sort DetectIndex::build runs too. Compaction is O(elements) — linear in the corpus,
 // independent of delta size — which is cheap next to detection's
 // superlinear candidate work, and it means every engine keeps scanning a
 // plain DetectIndex::Side: the byte-identity contract of

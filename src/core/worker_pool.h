@@ -1,6 +1,6 @@
-// Reusable worker pool shared by the parallel engines (extracted from
-// ParallelDetector so the serving path can share it) with two dispatch
-// modes over one set of persistent threads:
+// Reusable worker pool shared by the parallel engines (the detection
+// driver in core/detect_scan.h, SP-Tuner, the serving path) with two
+// dispatch modes over one set of persistent threads:
 //
 //  * Fork-join — run() invokes `job(worker_id)` once per worker (ids
 //    0..thread_count-1) and returns when every invocation has finished.

@@ -158,13 +158,12 @@ class Runner {
   std::mutex pending_mutex_;
   std::unordered_map<std::string, StageRecord> pending_;
 
-  /// Warm detection state for stream mode: the detector retains month
-  /// `stream_month_`'s index and per-source emissions; month m applies a
-  /// delta when it directly follows (stream_month_ == m - 1) and falls
-  /// back to a full init otherwise (e.g. a resume gap — byte-identical
-  /// either way). Stream-mode detect stages are chained in the DAG, so
-  /// contention is nil; the mutex makes the hand-off explicit and keeps
-  /// the invariant checkable.
+  /// Warm detection state: the detector retains month `stream_month_`'s
+  /// index and per-source emissions; month m applies a delta when it
+  /// directly follows (stream_month_ == m - 1) and falls back to a full
+  /// init otherwise (e.g. a resume gap — byte-identical either way).
+  /// Detect stages are chained in the DAG, so contention is nil; the
+  /// mutex makes the hand-off explicit and keeps the invariant checkable.
   // lock-order: 37 pipeline.campaign.stream_mutex (taken from detect
   // stage bodies only, after the month corpus mutex is released; leaf —
   // nothing is acquired under it)
@@ -443,26 +442,16 @@ void Runner::build_graph() {
           return atomic_write_file(abs(corpus_name(m)), text, error);
         });
 
-    // Stream mode chains detect[m] on detect[m-1]: the dependency hands
-    // month m-1's warm detector state to month m, turning the campaign
-    // into a rolling delta pipeline. Full mode keeps the months
-    // independent (the original fan-out).
+    // detect[m] chains on detect[m-1]: the dependency hands month m-1's
+    // warm detector state to month m, turning the campaign into a rolling
+    // delta pipeline.
     std::vector<StageId> detect_deps{corpus_ids[m]};
-    if (config_.stream_detect && m > 0) detect_deps.push_back(detect_ids[m - 1]);
+    if (m > 0) detect_deps.push_back(detect_ids[m - 1]);
     detect_ids[m] = add_stage(
         "detect[" + d + "]", std::move(detect_deps), detect_hash, {pairs_name(m)},
         [this, m](std::string* error) {
           const auto corpus = corpus_for(m, error);
           if (!corpus) return false;
-          if (!config_.stream_detect) {
-            // Serial inner engine: cross-month DAG concurrency is the
-            // parallelism; a nested fork-join on the executing pool would
-            // deadlock (worker_pool.h).
-            core::DetectOptions options;
-            options.threads = 1;
-            return write_pairs(pairs_name(m), core::detect_sibling_prefixes(*corpus, options),
-                               error);
-          }
           const std::lock_guard<std::mutex> lock(stream_mutex_);
           // Held across the detector's pool submits (rank 40 > 37): the
           // runtime checker sees the ordered pair on every stream month.
@@ -703,10 +692,6 @@ std::vector<std::pair<std::string, std::string>> describe_config(const CampaignC
   put("synth.probe_same_group_share", format_double(s.probe_same_group_share));
   put("v4_threshold", std::to_string(config.v4_threshold));
   put("v6_threshold", std::to_string(config.v6_threshold));
-  // detect_mode does not change artifact bytes (the stream engine is
-  // byte-identical to the full engine), but it changes the DAG shape a
-  // resume must rebuild, so it is manifest content.
-  put("detect_mode", config.stream_detect ? "stream" : "full");
   return kvs;
 }
 
@@ -776,8 +761,6 @@ CampaignConfig config_from_manifest(const RunManifest& manifest, std::string out
   get_double("synth.probe_same_group_share", s.probe_same_group_share);
   get_unsigned("v4_threshold", config.v4_threshold);
   get_unsigned("v6_threshold", config.v6_threshold);
-  const std::string detect_mode = get("detect_mode");
-  if (!detect_mode.empty()) config.stream_detect = detect_mode != "full";
   return config;
 }
 

@@ -12,7 +12,10 @@
 //   corpus[d]   rib + snapshot files → DualStackCorpus (kept in memory
 //               for the month's detect/sptuner stages) + corpus-<d>.txt
 //               stats marker
-//   detect[d]   sibling pair detection → pairs-<d>.csv
+//   detect[d]   sibling pair detection → pairs-<d>.csv: applies the
+//               month's corpus delta to the warm sp::stream detector
+//               (month-0 or a resume gap: a full init). Depends on
+//               detect[m-1]: the second cross-month chain.
 //   sptuner[d]  SP-Tuner-MS refinement  → tuned-<d>.csv
 //   publish[d]  canonical published list → siblings-<d>.csv
 //   sibdb[d]    binary serving snapshot → siblings-<d>.sibdb (directly
@@ -20,9 +23,9 @@
 //   diff[d',d]  release diff of consecutive published lists → diff-<d>.csv
 //   longitudinal  fan-in over every published list + diff → longitudinal.csv
 //
-// Months are independent except for the evolve chain, so a multi-worker
-// pool pipelines them: month 3 can be detecting while month 5 exports and
-// month 2's checkpoints fsync.
+// Months are independent except for the evolve and detect chains, so a
+// multi-worker pool pipelines them: month 3 can be detecting while month
+// 5 exports and month 2's checkpoints fsync.
 //
 // Checkpointing (see checkpoint.h): every stage's inputs hash chains the
 // stage name, its config component (synth config for evolve/export,
@@ -66,16 +69,6 @@ struct CampaignConfig {
   /// DAG worker pool size; 0 picks the hardware concurrency, 1 runs the
   /// graph serially (the bench baseline).
   unsigned threads = 1;
-  /// Detection mode. `true` (the default) chains the months through one
-  /// sp::stream::StreamDetector: month m's detect stage applies the
-  /// corpus delta against month m-1's retained state and re-scores only
-  /// the dirty sources — the warm rolling pipeline. `false` re-runs the
-  /// exact engine from scratch every month. The pairs CSV bytes are
-  /// identical either way (the stream engine's byte-identity contract);
-  /// only the DAG shape differs (stream mode serializes the detect
-  /// chain), so the manifest records "detect_mode" and a cross-mode
-  /// resume re-runs just the detect stages.
-  bool stream_detect = true;
   /// Run directory: artifacts + manifest.json (created if missing).
   std::string out_dir;
   /// When non-empty, run() records one Chrome-trace span per stage

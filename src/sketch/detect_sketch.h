@@ -1,4 +1,4 @@
-// Sketch-based sibling-prefix detection (DetectStrategy::Sketch).
+// Sketch-based sibling-prefix detection.
 //
 // The engine answers the same question as the exact scan — for every
 // source prefix, its best-Jaccard counterpart(s) — but generates
@@ -62,40 +62,20 @@ class SketchIndex {
   LshIndex v6_lsh_;
 };
 
-/// The sketch engine. Owns a worker pool; reusable across runs like
-/// core::ParallelDetector (not reentrant).
-class SketchDetector {
- public:
-  explicit SketchDetector(SketchParams params = {}, unsigned thread_count = 0);
-
-  /// Runs detection over a prebuilt DetectIndex. `options.metric` other
-  /// than Jaccard routes every source through the exact scan (estimates
-  /// are Jaccard estimates, so only Jaccard ordering can be trusted);
-  /// `options.strategy` is ignored — calling this IS choosing Sketch.
-  [[nodiscard]] std::vector<core::SiblingPair> detect(const core::DetectIndex& index,
-                                                      const core::DetectOptions& options);
-
-  [[nodiscard]] const SketchStats& stats() const noexcept { return stats_; }
-
- private:
-  void detect_direction(const core::DetectIndex& index, const SketchIndex& sketch,
-                        Family from, core::Metric metric, std::vector<core::SiblingPair>& out);
-
-  SketchParams params_;
-  core::WorkerPool pool_;
-  SketchStats stats_;
-};
-
-/// Strategy-dispatching entry points: DetectStrategy::Exact delegates to
-/// the core engine, DetectStrategy::Sketch runs the sketch engine with
-/// `params`. Output is identical either way (the identity property).
-/// `stats_out`, when given, is filled only on the sketch path.
+/// The sketch engine: builds a SketchIndex over the corpus's flat index,
+/// then runs scan_source_sketch on the core detection driver for both
+/// directions and merges exactly as the exact engine does. Output is
+/// byte-identical to core::detect_sibling_prefixes (the identity
+/// property). `options.metric` other than Jaccard routes every source
+/// through the exact scan (estimates are Jaccard estimates, so only
+/// Jaccard ordering can be trusted); `options.stats`, when given,
+/// receives the run's counters, the sketch ones included.
 [[nodiscard]] std::vector<core::SiblingPair> detect_sibling_prefixes(
     const core::DualStackCorpus& corpus, const core::DetectOptions& options = {},
-    const SketchParams& params = {}, SketchStats* stats_out = nullptr);
+    const SketchParams& params = {});
 
 [[nodiscard]] std::vector<core::SiblingPair> detect_sibling_prefixes(
     const core::SetCorpus& corpus, const core::DetectOptions& options = {},
-    const SketchParams& params = {}, SketchStats* stats_out = nullptr);
+    const SketchParams& params = {});
 
 }  // namespace sp::sketch

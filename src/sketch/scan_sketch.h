@@ -1,9 +1,10 @@
 // The per-source sketch-filtered scan shared by the sketch engines.
 //
-// SketchDetector shards this scan over its worker pool; the sp::stream
-// incremental engine reuses it verbatim for large dirty sets (the
-// "sketch LSH filter optional" path), which is what keeps the streamed
-// output byte-identical to both the sketch and the exact engine. One
+// sketch::detect_sibling_prefixes runs this scan on the core detection
+// driver (core/detect_scan.h); the sp::stream incremental engine runs it
+// on the same driver for large dirty sets (the "sketch LSH filter
+// optional" path), which is what keeps the streamed output
+// byte-identical to both the sketch and the exact engine. One
 // definition, like core/detect_scan.h for the exact scan, so the engines
 // can never drift in candidate pruning, estimate margins, or tie rules.
 //
@@ -35,23 +36,6 @@
 
 namespace sp::sketch {
 
-/// Counters describing one sketch detection run (both directions).
-struct SketchStats {
-  /// Counters of the exact fallback scans (scan_source fills these) plus
-  /// the verified-survivor evaluations.
-  core::DetectStats scan;
-  std::size_t sources_total = 0;          // source prefixes processed
-  std::size_t sources_fallback = 0;       // routed to the exact scan
-  std::size_t fallback_no_candidates = 0;
-  std::size_t fallback_low_estimate = 0;
-  std::size_t fallback_low_exact = 0;     // paranoia: best survivor < floor
-  std::size_t lsh_candidates = 0;         // candidates the LSH produced
-  std::size_t estimates_skipped = 0;      // merges pruned by the hit bound
-  std::size_t survivors_verified = 0;     // exact intersections computed
-  double max_estimate_error = 0.0;        // max |estimate - exact| observed
-  double signature_build_ms = 0.0;
-};
-
 /// Exact shared-element count of two sorted spans (linear merge; same
 /// arithmetic the posting-list scan accumulates per candidate).
 inline std::uint32_t intersection_count(std::span<const core::DomainId> a,
@@ -73,40 +57,21 @@ inline std::uint32_t intersection_count(std::span<const core::DomainId> a,
   return shared;
 }
 
-/// Per-worker reusable state for scan_source_sketch: LSH candidate and
-/// estimate scratch plus the exact engine's ScanScratch for fallbacks.
-struct SketchScanScratch {
-  explicit SketchScanScratch(std::size_t target_prefixes) : scratch(target_prefixes) {}
-
-  struct Survivor {
-    std::uint32_t dense = 0;
-    std::uint32_t shared = 0;
-    double value = 0.0;
-  };
-
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> candidates;  // (dense, hits)
-  std::vector<std::uint32_t> lsh_counts;  // dense hit-count scratch
-  std::vector<double> estimates;
-  std::vector<Survivor> survivors;
-  core::detail::ScanScratch scratch;
-};
-
 /// Appends the best-match pairs of `source` (with ties) to `out`, exactly
 /// as core::detail::scan_source would, generating candidates from the
-/// counterpart side's LSH index where the estimates allow it.
+/// counterpart side's LSH index where the estimates allow it. Survivors
+/// are kept in `scratch.ties`; the sketch counters of `stats` record how
+/// the source was routed.
 inline void scan_source_sketch(const core::DetectIndex::Side& from_side,
                                const core::DetectIndex::Side& to_side,
                                const SignatureSet& from_signatures,
                                const SignatureSet& to_signatures, const LshIndex& to_lsh,
                                const SketchParams& params, Family from, core::Metric metric,
-                               std::uint32_t source, SketchScanScratch& scan,
-                               std::vector<core::SiblingPair>& out, SketchStats& stats) {
-  ++stats.sources_total;
-
+                               std::uint32_t source, core::detail::ScanScratch& scratch,
+                               std::vector<core::SiblingPair>& out, core::DetectStats& stats) {
   const auto exact_fallback = [&] {
     ++stats.sources_fallback;
-    core::detail::scan_source(from_side, to_side, from, metric, source, scan.scratch, out,
-                              stats.scan);
+    core::detail::scan_source(from_side, to_side, from, metric, source, scratch, out, stats);
   };
 
   // Non-Jaccard metrics cannot be ordered by a Jaccard estimate, so every
@@ -116,15 +81,12 @@ inline void scan_source_sketch(const core::DetectIndex::Side& from_side,
     return;
   }
   const SignatureView signature = from_signatures.of(source);
-  if (signature.hashes.empty()) {
-    // Empty set: the exact scan would touch no candidate either.
-    ++stats.scan.prefixes_scanned;
-    return;
-  }
+  // Empty set: the exact scan would touch no candidate either.
+  if (signature.hashes.empty()) return;
 
-  to_lsh.candidates_of(signature, scan.candidates, scan.lsh_counts);
-  stats.lsh_candidates += scan.candidates.size();
-  if (scan.candidates.empty()) {
+  to_lsh.candidates_of(signature, scratch.candidates, scratch.lsh_counts);
+  stats.lsh_candidates += scratch.candidates.size();
+  if (scratch.candidates.empty()) {
     ++stats.fallback_no_candidates;
     exact_fallback();
     return;
@@ -139,25 +101,26 @@ inline void scan_source_sketch(const core::DetectIndex::Side& from_side,
   // candidate therefore can neither raise best_estimate nor
   // survive the margin cut, and the survivor set (and the output)
   // is exactly what the unpruned pass would produce.
-  std::sort(scan.candidates.begin(), scan.candidates.end(), [](const auto& a, const auto& b) {
-    return a.second != b.second ? a.second > b.second : a.first < b.first;
-  });
+  std::sort(scratch.candidates.begin(), scratch.candidates.end(),
+            [](const auto& a, const auto& b) {
+              return a.second != b.second ? a.second > b.second : a.first < b.first;
+            });
   const std::uint32_t k = params.k;
   const auto source_stored = static_cast<std::uint32_t>(signature.hashes.size());
-  scan.estimates.clear();
+  scratch.estimates.clear();
   double best_estimate = 0.0;
-  for (const auto& [candidate, hits] : scan.candidates) {
+  for (const auto& [candidate, hits] : scratch.candidates) {
     const SignatureView candidate_signature = to_signatures.of(candidate);
     const std::uint32_t floor_slots = std::min(
         k, std::max(source_stored, static_cast<std::uint32_t>(candidate_signature.hashes.size())));
     const double upper = static_cast<double>(hits) / floor_slots;
     if (upper + params.margin < best_estimate) {
       ++stats.estimates_skipped;
-      scan.estimates.push_back(-1.0);  // provably below the margin
+      scratch.estimates.push_back(-1.0);  // provably below the margin
       continue;
     }
     const double estimate = estimate_jaccard(signature, candidate_signature, k);
-    scan.estimates.push_back(estimate);
+    scratch.estimates.push_back(estimate);
     best_estimate = std::max(best_estimate, estimate);
   }
   if (best_estimate < params.fallback_floor) {
@@ -168,22 +131,21 @@ inline void scan_source_sketch(const core::DetectIndex::Side& from_side,
 
   // Exact-verify every candidate within the margin of the best estimate,
   // with the same arithmetic the exact scan uses.
-  ++stats.scan.prefixes_scanned;
   const auto elements = from_side.elements_of(source);
-  scan.survivors.clear();
+  scratch.ties.clear();
   double best = 0.0;
-  for (std::size_t c = 0; c < scan.candidates.size(); ++c) {
-    if (scan.estimates[c] + params.margin < best_estimate) continue;
-    const std::uint32_t candidate = scan.candidates[c].first;
+  for (std::size_t c = 0; c < scratch.candidates.size(); ++c) {
+    if (scratch.estimates[c] + params.margin < best_estimate) continue;
+    const std::uint32_t candidate = scratch.candidates[c].first;
     const std::uint32_t shared = intersection_count(elements, to_side.elements_of(candidate));
     const double value =
         core::similarity_from_sizes(metric, shared, elements.size(), to_side.set_size(candidate));
     ++stats.survivors_verified;
-    ++stats.scan.candidates_evaluated;
+    ++stats.candidates_evaluated;
     stats.max_estimate_error =
-        std::max(stats.max_estimate_error, std::abs(scan.estimates[c] - value));
+        std::max(stats.max_estimate_error, std::abs(scratch.estimates[c] - value));
     best = std::max(best, value);
-    scan.survivors.push_back({candidate, shared, value});
+    scratch.ties.push_back({candidate, shared, value});
   }
   if (best < params.fallback_floor) {
     // The verified best is inside the regime where an LSH miss or an
@@ -192,24 +154,7 @@ inline void scan_source_sketch(const core::DetectIndex::Side& from_side,
     exact_fallback();
     return;
   }
-
-  const bool from_v4 = from == Family::v4;
-  const Prefix& source_prefix = from_side.prefixes[source];
-  const auto source_size = static_cast<std::uint32_t>(elements.size());
-  for (const SketchScanScratch::Survivor& survivor : scan.survivors) {
-    if (survivor.value + core::detail::kTieEpsilon < best) continue;
-    const Prefix& candidate_prefix = to_side.prefixes[survivor.dense];
-    const std::uint32_t candidate_size = to_side.set_size(survivor.dense);
-    core::SiblingPair pair;
-    pair.v4 = from_v4 ? source_prefix : candidate_prefix;
-    pair.v6 = from_v4 ? candidate_prefix : source_prefix;
-    pair.similarity = survivor.value;
-    pair.shared_domains = survivor.shared;
-    pair.v4_domain_count = from_v4 ? source_size : candidate_size;
-    pair.v6_domain_count = from_v4 ? candidate_size : source_size;
-    out.push_back(pair);
-    ++stats.scan.pairs_emitted;
-  }
+  core::detail::emit_ties(from_side, to_side, from, source, best, scratch.ties, out, stats);
 }
 
 }  // namespace sp::sketch

@@ -11,8 +11,9 @@ namespace sp::sketch {
 
 namespace {
 
-/// Prefixes claimed per atomic fetch during the parallel build; mirrors
-/// ParallelDetector's chunking so skewed set sizes still balance.
+/// Prefixes claimed per atomic fetch during the parallel build; chunked
+/// like the detection driver (core/detect_scan.h) so skewed set sizes
+/// still balance.
 constexpr std::size_t kBuildChunk = 64;
 
 /// Fills one prefix's signature slot: hash every element, keep the k

@@ -1,9 +1,7 @@
 #include "stream/stream_detector.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <numeric>
 #include <optional>
 #include <stdexcept>
 
@@ -15,12 +13,7 @@ namespace sp::stream {
 
 namespace {
 
-constexpr std::size_t kChunk = 32;  // mirrors ParallelDetector's sharding
-
-double elapsed_ms(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
-      .count();
-}
+using core::detail::elapsed_ms;
 
 /// Dense id of `prefix` on `side` (prefixes are sorted ascending), or
 /// nullopt when the prefix is not in the index (dead or never born).
@@ -64,16 +57,14 @@ std::vector<std::uint32_t> dirty_sources(const core::DetectIndex& index,
   return sources;
 }
 
-std::vector<std::uint32_t> all_sources(const core::DetectIndex::Side& side) {
-  std::vector<std::uint32_t> sources(side.prefix_count());
-  std::iota(sources.begin(), sources.end(), 0u);
-  return sources;
-}
-
 }  // namespace
 
 StreamDetector::StreamDetector(StreamOptions options)
-    : options_(options), pool_(options.threads) {}
+    : options_(options),
+      pool_(options.threads),
+      pairs_current_(obs::MetricsRegistry::global().gauge("stream.pairs_current")) {}
+
+StreamDetector::~StreamDetector() { pairs_current_.sub(pairs_published_); }
 
 void StreamDetector::scan_sources(Family from, const std::vector<std::uint32_t>& sources,
                                   const sketch::SketchIndex* sketch_index) {
@@ -82,106 +73,55 @@ void StreamDetector::scan_sources(Family from, const std::vector<std::uint32_t>&
   const core::DetectIndex::Side& from_side = index.side(from);
   const core::DetectIndex::Side& to_side = index.side(to);
 
-  /// One re-scanned source's emission range inside a worker's buffer.
-  struct Slice {
-    std::uint32_t dense = 0;
-    std::uint32_t begin = 0;
-    std::uint32_t end = 0;
-  };
-  struct Local {
-    sketch::SketchStats stats;  // .scan carries the exact-path counters
-    std::vector<core::SiblingPair> pairs;
-    std::vector<Slice> slices;
-    sketch::SketchScanScratch scan;
-
-    explicit Local(std::size_t target_prefixes) : scan(target_prefixes) {}
-  };
-
-  const unsigned thread_count = pool_.thread_count();
-  std::vector<Local> locals;
-  locals.reserve(thread_count);
-  for (unsigned worker = 0; worker < thread_count; ++worker) {
-    locals.emplace_back(to_side.prefix_count());
-  }
-
-  std::atomic<std::size_t> next{0};
-  const std::size_t source_count = sources.size();
-  const std::function<void(unsigned)> job = [&](unsigned worker) {
-    Local& local = locals[worker];
-    for (;;) {
-      // sp-lint: atomics-ok(work-stealing chunk cursor; claims need no
-      // ordering, only uniqueness — the pool join publishes results)
-      const std::size_t begin = next.fetch_add(kChunk, std::memory_order_relaxed);
-      if (begin >= source_count) return;
-      const std::size_t end = std::min(source_count, begin + kChunk);
-      for (std::size_t s = begin; s < end; ++s) {
-        const std::uint32_t dense = sources[s];
-        const auto emitted_begin = static_cast<std::uint32_t>(local.pairs.size());
+  std::vector<core::SiblingPair> emitted;
+  const std::vector<std::size_t> offsets = core::detail::scan_sharded(
+      pool_, index, from, sources, "stream", emitted, stats_.scan,
+      [&](Family, std::uint32_t source, core::detail::ScanScratch& scratch,
+          std::vector<core::SiblingPair>& out, core::DetectStats& local) {
         if (sketch_index != nullptr) {
-          scan_source_sketch(from_side, to_side, sketch_index->signatures(from),
-                             sketch_index->signatures(to), sketch_index->lsh(to),
-                             sketch_index->params(), from, options_.metric, dense, local.scan,
-                             local.pairs, local.stats);
+          sketch::scan_source_sketch(from_side, to_side, sketch_index->signatures(from),
+                                     sketch_index->signatures(to), sketch_index->lsh(to),
+                                     sketch_index->params(), from, options_.metric, source,
+                                     scratch, out, local);
         } else {
-          core::detail::scan_source(from_side, to_side, from, options_.metric, dense,
-                                    local.scan.scratch, local.pairs, local.stats.scan);
+          core::detail::scan_source(from_side, to_side, from, options_.metric, source, scratch,
+                                    out, local);
         }
-        local.slices.push_back(
-            {dense, emitted_begin, static_cast<std::uint32_t>(local.pairs.size())});
-      }
-    }
-  };
-  pool_.run(job);
+      });
 
   EmissionMap& map = emissions(from);
-  for (Local& local : locals) {
-    for (const Slice& slice : local.slices) {
-      map[from_side.prefixes[slice.dense]] =
-          std::vector<core::SiblingPair>(local.pairs.begin() + slice.begin,
-                                         local.pairs.begin() + slice.end);
-    }
-    stats_.scan.prefixes_scanned += local.stats.scan.prefixes_scanned;
-    stats_.scan.candidates_evaluated += local.stats.scan.candidates_evaluated;
-    stats_.scan.pairs_emitted += local.stats.scan.pairs_emitted;
-    if (sketch_index != nullptr) {
-      stats_.sketch.scan.prefixes_scanned += local.stats.scan.prefixes_scanned;
-      stats_.sketch.scan.candidates_evaluated += local.stats.scan.candidates_evaluated;
-      stats_.sketch.scan.pairs_emitted += local.stats.scan.pairs_emitted;
-      stats_.sketch.sources_total += local.stats.sources_total;
-      stats_.sketch.sources_fallback += local.stats.sources_fallback;
-      stats_.sketch.fallback_no_candidates += local.stats.fallback_no_candidates;
-      stats_.sketch.fallback_low_estimate += local.stats.fallback_low_estimate;
-      stats_.sketch.fallback_low_exact += local.stats.fallback_low_exact;
-      stats_.sketch.lsh_candidates += local.stats.lsh_candidates;
-      stats_.sketch.estimates_skipped += local.stats.estimates_skipped;
-      stats_.sketch.survivors_verified += local.stats.survivors_verified;
-      stats_.sketch.max_estimate_error =
-          std::max(stats_.sketch.max_estimate_error, local.stats.max_estimate_error);
-    }
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    map[from_side.prefixes[sources[i]]] = std::vector<core::SiblingPair>(
+        emitted.begin() + static_cast<std::ptrdiff_t>(offsets[i]),
+        emitted.begin() + static_cast<std::ptrdiff_t>(offsets[i + 1]));
   }
+}
+
+std::optional<sketch::SketchIndex> StreamDetector::sketch_for(std::size_t dirty_total) {
+  if (!options_.sketch || options_.metric != core::Metric::Jaccard ||
+      dirty_total < options_.sketch_min_dirty) {
+    return std::nullopt;
+  }
+  const auto signature_start = std::chrono::steady_clock::now();
+  auto sketch_index = sketch::SketchIndex::build(overlay_.index(), *options_.sketch, &pool_);
+  stats_.scan.signature_build_ms = elapsed_ms(signature_start);
+  stats_.used_sketch = true;
+  return sketch_index;
 }
 
 void StreamDetector::scan_all() {
   const core::DetectIndex& index = overlay_.index();
   emissions_v4_.clear();
   emissions_v6_.clear();
-  const std::vector<std::uint32_t> v4_sources = all_sources(index.v4);
-  const std::vector<std::uint32_t> v6_sources = all_sources(index.v6);
+  const std::vector<std::uint32_t> v4_sources = core::detail::all_sources(index.v4);
+  const std::vector<std::uint32_t> v6_sources = core::detail::all_sources(index.v6);
   stats_.dirty_v4 = v4_sources.size();
   stats_.dirty_v6 = v6_sources.size();
 
-  const bool use_sketch = options_.strategy == core::DetectStrategy::Sketch &&
-                          options_.metric == core::Metric::Jaccard &&
-                          v4_sources.size() + v6_sources.size() >= options_.sketch_min_dirty;
-  sketch::SketchIndex sketch_index;
-  if (use_sketch) {
-    const auto signature_start = std::chrono::steady_clock::now();
-    sketch_index = sketch::SketchIndex::build(index, options_.sketch, &pool_);
-    stats_.sketch.signature_build_ms = elapsed_ms(signature_start);
-    stats_.used_sketch = true;
-  }
-  scan_sources(Family::v4, v4_sources, use_sketch ? &sketch_index : nullptr);
-  scan_sources(Family::v6, v6_sources, use_sketch ? &sketch_index : nullptr);
+  const auto sketch_index = sketch_for(v4_sources.size() + v6_sources.size());
+  const sketch::SketchIndex* filter = sketch_index ? &*sketch_index : nullptr;
+  scan_sources(Family::v4, v4_sources, filter);
+  scan_sources(Family::v6, v6_sources, filter);
 }
 
 void StreamDetector::rebuild_pairs() {
@@ -200,8 +140,13 @@ void StreamDetector::rebuild_pairs() {
   for (const auto& [prefix, emitted] : emissions_v6_) {
     pairs_.insert(pairs_.end(), emitted.begin(), emitted.end());
   }
-  std::sort(pairs_.begin(), pairs_.end());
-  pairs_.erase(std::unique(pairs_.begin(), pairs_.end()), pairs_.end());
+  core::detail::sort_unique(pairs_);
+}
+
+void StreamDetector::publish_pair_count() {
+  const auto current = static_cast<std::int64_t>(pairs_.size());
+  pairs_current_.add(current - pairs_published_);
+  pairs_published_ = current;
 }
 
 void StreamDetector::merge_changed(std::vector<core::SiblingPair> changed) {
@@ -258,9 +203,8 @@ void StreamDetector::init(core::DetectIndex index) {
   stats_.sources_total =
       overlay_.index().v4.prefix_count() + overlay_.index().v6.prefix_count();
 
-  auto& registry = obs::MetricsRegistry::global();
-  registry.counter("stream.inits").add();
-  registry.counter("stream.pairs_current").add(static_cast<std::int64_t>(pairs_.size()));
+  publish_pair_count();
+  obs::MetricsRegistry::global().counter("stream.inits").add();
 }
 
 void StreamDetector::apply(const core::CorpusDelta& delta) {
@@ -321,18 +265,10 @@ void StreamDetector::apply(const core::CorpusDelta& delta) {
     for (const core::PrefixDelta& entry : delta.v4) emissions_v4_.erase(entry.prefix);
     for (const core::PrefixDelta& entry : delta.v6) emissions_v6_.erase(entry.prefix);
 
-    const bool use_sketch = options_.strategy == core::DetectStrategy::Sketch &&
-                            options_.metric == core::Metric::Jaccard &&
-                            dirty_total >= options_.sketch_min_dirty;
-    sketch::SketchIndex sketch_index;
-    if (use_sketch) {
-      const auto signature_start = std::chrono::steady_clock::now();
-      sketch_index = sketch::SketchIndex::build(index, options_.sketch, &pool_);
-      stats_.sketch.signature_build_ms = elapsed_ms(signature_start);
-      stats_.used_sketch = true;
-    }
-    scan_sources(Family::v4, dirty_v4, use_sketch ? &sketch_index : nullptr);
-    scan_sources(Family::v6, dirty_v6, use_sketch ? &sketch_index : nullptr);
+    const auto sketch_index = sketch_for(dirty_total);
+    const sketch::SketchIndex* filter = sketch_index ? &*sketch_index : nullptr;
+    scan_sources(Family::v4, dirty_v4, filter);
+    scan_sources(Family::v6, dirty_v6, filter);
 
     // Post-scan emissions of the same touched sources (dead prefixes
     // have none): together with the pre-scan capture this is the full
@@ -346,6 +282,7 @@ void StreamDetector::apply(const core::CorpusDelta& delta) {
     stats_.merge_ms = elapsed_ms(merge_start);
   }
 
+  publish_pair_count();
   auto& registry = obs::MetricsRegistry::global();
   registry.counter("stream.applies").add();
   registry.counter("stream.delta_edges").add(static_cast<std::int64_t>(stats_.delta_edges));

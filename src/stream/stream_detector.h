@@ -33,23 +33,24 @@
 // across seeds, event mixes, and thread counts.
 //
 // Large dirty sets can optionally route through the sketch LSH filter
-// (sketch/scan_sketch.h, StreamOptions::strategy = Sketch): signatures
-// are rebuilt over the post-delta index and each dirty source takes the
-// shared sketch scan, which preserves byte-identity by the same
-// argument as the batch sketch engine. When the dirty set approaches
-// the whole universe, dirty bookkeeping stops paying; past
-// full_rescan_fraction the engine just re-scans every source (still
-// skipping the corpus rebuild the batch path would pay).
+// (sketch/scan_sketch.h, StreamOptions::sketch): signatures are rebuilt
+// over the post-delta index and each dirty source takes the shared
+// sketch scan, which preserves byte-identity by the same argument as the
+// batch sketch engine. When the dirty set approaches the whole universe,
+// dirty bookkeeping stops paying; past full_rescan_fraction the engine
+// just re-scans every source (still skipping the corpus rebuild the
+// batch path would pay).
 //
-// Threading: like ParallelDetector, the detector owns a WorkerPool and
-// shards (re-)scans in fixed chunks over a work-stealing cursor;
-// workers only append to worker-local buffers, and per-source results
-// are keyed by prefix, so output is independent of the thread count.
-// Not reentrant; no internal locking — single-owner like the batch
-// engines.
+// Threading: the detector owns a WorkerPool and runs its (re-)scans on
+// the core detection driver (core/detect_scan.h), which returns each
+// source's emissions in source order, so output is independent of the
+// thread count. Not reentrant; no internal locking — single-owner like
+// the batch engines.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -57,6 +58,7 @@
 #include "core/detect.h"
 #include "core/detect_overlay.h"
 #include "core/worker_pool.h"
+#include "obs/metrics.h"
 #include "sketch/detect_sketch.h"
 
 namespace sp::stream {
@@ -65,12 +67,12 @@ struct StreamOptions {
   core::Metric metric = core::Metric::Jaccard;
   /// Worker threads for (re-)scans; 0 picks hardware concurrency.
   unsigned threads = 1;
-  /// Sketch routes dirty re-scans through the LSH filter once the dirty
-  /// set reaches sketch_min_dirty sources (building signatures over the
-  /// new index costs O(corpus), so tiny dirty sets stay exact).
-  core::DetectStrategy strategy = core::DetectStrategy::Exact;
+  /// When set, dirty re-scans route through the LSH filter with these
+  /// parameters once the dirty set reaches sketch_min_dirty sources
+  /// (building signatures over the new index costs O(corpus), so tiny
+  /// dirty sets stay exact).
+  std::optional<sketch::SketchParams> sketch = std::nullopt;
   std::size_t sketch_min_dirty = 4096;
-  sketch::SketchParams sketch;
   /// When dirty sources exceed this fraction of all sources, re-scan
   /// everything instead of tracking per-source dirtiness.
   double full_rescan_fraction = 0.5;
@@ -85,8 +87,7 @@ struct StreamApplyStats {
   std::size_t sources_total = 0;    // post-delta universe size, both sides
   bool full_rescan = false;         // dirty set crossed full_rescan_fraction
   bool used_sketch = false;         // dirty re-scan took the LSH filter
-  core::DetectStats scan;           // re-scan counters (shared scan fills)
-  sketch::SketchStats sketch;       // filled when used_sketch
+  core::DetectStats scan;           // re-scan counters (sketch ones when used_sketch)
   double apply_index_ms = 0.0;      // overlay apply + dirty-set derivation
   double rescan_ms = 0.0;
   double merge_ms = 0.0;
@@ -95,6 +96,9 @@ struct StreamApplyStats {
 class StreamDetector {
  public:
   explicit StreamDetector(StreamOptions options = {});
+
+  /// Gives this detector's share of the `stream.pairs_current` gauge back.
+  ~StreamDetector();
 
   StreamDetector(const StreamDetector&) = delete;
   StreamDetector& operator=(const StreamDetector&) = delete;
@@ -126,11 +130,17 @@ class StreamDetector {
 
   /// Re-scans `sources` (sorted dense ids on side `from`) against the
   /// current index, replacing their entries in the direction's emission
-  /// map. `use_sketch` routes each source through the shared sketch scan.
+  /// map. A non-null `sketch_index` routes each source through the shared
+  /// sketch scan.
   void scan_sources(Family from, const std::vector<std::uint32_t>& sources,
                     const sketch::SketchIndex* sketch_index);
+  /// The LSH index for a re-scan of `dirty_total` sources, or nullopt
+  /// when the re-scan stays exact.
+  [[nodiscard]] std::optional<sketch::SketchIndex> sketch_for(std::size_t dirty_total);
   void scan_all();
   void rebuild_pairs();
+  /// Moves the `stream.pairs_current` gauge by the change in pairs_.size().
+  void publish_pair_count();
   /// Splices the re-scanned sources' emission changes into the sorted
   /// pair list in one linear pass (no global re-sort). `changed` holds
   /// the keys whose emitting sources were touched — the union of those
@@ -148,6 +158,8 @@ class StreamDetector {
   EmissionMap emissions_v6_;  // v6→v4 direction
   std::vector<core::SiblingPair> pairs_;
   StreamApplyStats stats_;
+  obs::Gauge pairs_current_;          // stream.pairs_current, summed over detectors
+  std::int64_t pairs_published_ = 0;  // this detector's share of the gauge
 };
 
 }  // namespace sp::stream

@@ -1,13 +1,14 @@
-// Serial-vs-parallel equivalence harness for the sharded detection engine.
+// Serial-vs-sharded equivalence harness for the detection driver.
 //
-// The headline guarantee of ParallelDetector is that its pair list is
+// The headline guarantee of the sharded driver (core/detect_scan.h,
+// behind detect_sibling_prefixes) is that its pair list is
 // *byte-identical* to the serial reference (detail::detect_over, exposed
 // as detect_sibling_prefixes_serial) for any corpus, metric, and thread
 // count — similarity doubles included, compared at the bit level. The
 // harness sweeps seeded synthetic corpora × all metrics × thread counts
 // 1/2/8, plus the adversarial corners: exact ties at the kTieEpsilon
 // boundary, empty and one-sided corpora, and counter determinism.
-#include "core/detect_parallel.h"
+#include "core/detect.h"
 
 #include <gtest/gtest.h>
 
@@ -15,7 +16,6 @@
 #include <random>
 #include <string>
 
-#include "core/detect.h"
 #include "synth/universe.h"
 #include "test_fixtures.h"
 
@@ -234,23 +234,13 @@ TEST(DetectParallel, StatsAreDeterministicAcrossThreadCounts) {
   }
 }
 
-TEST(DetectParallel, DetectorPoolIsReusableAcrossCallsAndCorpora) {
-  const SetCorpus first = random_corpus(11);
-  const SetCorpus second = random_corpus(22);
-  ParallelDetector detector(4);
-  EXPECT_EQ(detector.thread_count(), 4u);
-
-  expect_byte_identical(detector.detect(first), detect_sibling_prefixes_serial(first));
-  expect_byte_identical(detector.detect(first, {.metric = Metric::Dice}),
-                        detect_sibling_prefixes_serial(first, {.metric = Metric::Dice}));
-  expect_byte_identical(detector.detect(second), detect_sibling_prefixes_serial(second));
-  EXPECT_EQ(detector.stats().threads_used, 4u);
-}
-
 TEST(DetectParallel, ZeroThreadCountPicksHardwareConcurrency) {
-  const ParallelDetector detector(0);
-  EXPECT_GE(detector.thread_count(), 1u);
-  EXPECT_LE(detector.thread_count(), 64u);
+  const SetCorpus corpus = random_corpus(11);
+  DetectStats stats;
+  expect_byte_identical(detect_sibling_prefixes(corpus, {.threads = 0, .stats = &stats}),
+                        detect_sibling_prefixes_serial(corpus));
+  EXPECT_GE(stats.threads_used, 1u);
+  EXPECT_LE(stats.threads_used, 64u);
 }
 
 }  // namespace

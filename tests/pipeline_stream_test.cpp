@@ -1,7 +1,7 @@
-// The rolling-campaign contract: stream mode (the default — one
-// StreamDetector chained across the months) produces artifacts
-// byte-identical to full mode (from-scratch detection per month); the
-// per-month .spdl delta logs chain each sibdb snapshot to the next; and
+// The rolling-campaign contract: the detect stages (one StreamDetector
+// chained across the months) write pairs CSVs byte-identical to
+// from-scratch detection over each month's own artifacts; the per-month
+// .spdl delta logs chain each sibdb snapshot to the next; and
 // stale_stages catches checkpoints whose on-disk artifact was deleted or
 // corrupted after the run ("stale", not "done").
 #include "pipeline/campaign.h"
@@ -15,6 +15,12 @@
 #include <string>
 #include <vector>
 
+#include "bgp/rib.h"
+#include "core/corpus.h"
+#include "core/detect.h"
+#include "core/sibling_list_io.h"
+#include "io/snapshot_csv.h"
+#include "mrt/file.h"
 #include "serve/sibdb.h"
 #include "stream/spdl.h"
 
@@ -35,13 +41,12 @@ std::string read_file(const std::string& path) {
   return buffer.str();
 }
 
-CampaignConfig small_config(std::string out_dir, bool stream_detect) {
+CampaignConfig small_config(std::string out_dir) {
   CampaignConfig config;
   config.synth.months = 3;
   config.synth.organization_count = 50;
   config.synth.probe_count = 50;
   config.threads = 2;
-  config.stream_detect = stream_detect;
   config.out_dir = std::move(out_dir);
   return config;
 }
@@ -70,44 +75,35 @@ std::vector<std::string> artifacts_matching(const std::string& out_dir,
   return paths;
 }
 
-TEST(PipelineStream, StreamAndFullModesProduceIdenticalArtifacts) {
-  const std::string dir_stream = fresh_dir("sp_campaign_stream");
-  const std::string dir_full = fresh_dir("sp_campaign_fullmode");
+TEST(PipelineStream, PairsMatchSerialOracleEveryMonth) {
+  const std::string dir = fresh_dir("sp_campaign_stream");
+  const auto report = Campaign(small_config(dir)).run(/*resume=*/false);
+  ASSERT_TRUE(report.ok) << report.error;
 
-  const auto stream_report = Campaign(small_config(dir_stream, true)).run(/*resume=*/false);
-  ASSERT_TRUE(stream_report.ok) << stream_report.error;
-  const auto full_report = Campaign(small_config(dir_full, false)).run(/*resume=*/false);
-  ASSERT_TRUE(full_report.ok) << full_report.error;
-
-  // The schedule is the same either way (sibdelta stages diff the sibdb
-  // artifacts, so they run in both modes); only the detect DAG shape and
-  // engine differ.
-  EXPECT_EQ(stream_report.done_count, full_report.done_count);
-
-  // Every artifact of the full run must exist byte-identically in the
-  // stream run — the pairs CSVs are the detect stages' outputs, so this
-  // is the incremental-vs-scratch identity check at campaign scope.
-  const RunManifest full_manifest = load_manifest(dir_full);
-  std::size_t compared = 0;
-  for (const StageRecord& stage : full_manifest.stages) {
-    for (const OutputRecord& output : stage.outputs) {
-      EXPECT_EQ(read_file(dir_stream + "/" + output.path),
-                read_file(dir_full + "/" + output.path))
-          << output.path;
-      ++compared;
-    }
+  // Every month's pairs CSV — the detect stage's output, chained through
+  // the warm StreamDetector — must equal the serial oracle's list over a
+  // corpus rebuilt from that month's own rib and snapshot artifacts: the
+  // incremental-vs-scratch identity check at campaign scope.
+  const auto pair_files = artifacts_matching(dir, "pairs-", ".csv");
+  ASSERT_EQ(pair_files.size(), 3u);
+  for (const std::string& pairs_file : pair_files) {
+    const std::string date = pairs_file.substr(6, pairs_file.size() - 10);
+    std::string error;
+    const auto records = mrt::read_file(dir + "/rib-" + date + ".mrt", &error);
+    ASSERT_TRUE(records.has_value()) << error;
+    const auto snapshot = io::read_snapshot_csv(dir + "/snapshot-" + date + ".csv");
+    ASSERT_TRUE(snapshot.has_value()) << date;
+    const auto corpus = core::DualStackCorpus::build(*snapshot, bgp::Rib::from_mrt(*records));
+    const std::string oracle = dir + "/oracle-" + date + ".csv";
+    ASSERT_TRUE(
+        core::write_sibling_list(oracle, core::detect_sibling_prefixes_serial(corpus)));
+    EXPECT_EQ(read_file(dir + "/" + pairs_file), read_file(oracle)) << pairs_file;
   }
-  EXPECT_GT(compared, 10u);
-
-  // The manifests disagree only about detect_mode and the extra stages.
-  const RunManifest stream_manifest = load_manifest(dir_stream);
-  EXPECT_EQ(stream_manifest.config_value("detect_mode"), "stream");
-  EXPECT_EQ(full_manifest.config_value("detect_mode"), "full");
 }
 
 TEST(PipelineStream, DeltaLogsChainSnapshotsAcrossMonths) {
   const std::string dir = fresh_dir("sp_campaign_deltachain");
-  const auto report = Campaign(small_config(dir, true)).run(/*resume=*/false);
+  const auto report = Campaign(small_config(dir)).run(/*resume=*/false);
   ASSERT_TRUE(report.ok) << report.error;
 
   const auto sibdbs = artifacts_matching(dir, "siblings-", ".sibdb");
@@ -130,7 +126,7 @@ TEST(PipelineStream, DeltaLogsChainSnapshotsAcrossMonths) {
 
 TEST(PipelineStream, StaleStagesFlagsMissingAndCorruptedArtifacts) {
   const std::string dir = fresh_dir("sp_campaign_stale");
-  const auto report = Campaign(small_config(dir, true)).run(/*resume=*/false);
+  const auto report = Campaign(small_config(dir)).run(/*resume=*/false);
   ASSERT_TRUE(report.ok) << report.error;
   const RunManifest manifest = load_manifest(dir);
 

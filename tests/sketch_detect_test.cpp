@@ -1,11 +1,11 @@
 // The sketch↔exact identity harness (ISSUE 7 acceptance property): the
 // sketch detection engine must produce *byte-identical* pair lists to the
 // exact engine — similarity doubles compared at the bit level — on every
-// corpus, metric, thread count and seed tested here. Also covers the
-// strategy dispatch (core entry points reject Sketch; the sketch dispatch
-// runs either engine), run counters, the SketchEstimator plugged into
-// SP-Tuner (results unchanged, estimates within margin), and the synth
-// `scale` knob the scale benchmarks build on.
+// corpus, metric, thread count and seed tested here. Also covers the run
+// counters (each source counted once, whichever path it takes), the
+// SketchEstimator plugged into SP-Tuner (results unchanged, estimates
+// within margin), and the synth `scale` knob the scale benchmarks build
+// on.
 #include "sketch/detect_sketch.h"
 
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "core/detect.h"
-#include "core/detect_parallel.h"
 #include "core/sptuner.h"
 #include "sketch/estimator.h"
 #include "synth/universe.h"
@@ -26,7 +25,6 @@ namespace sp::sketch {
 namespace {
 
 using core::DetectOptions;
-using core::DetectStrategy;
 using core::DomainId;
 using core::Metric;
 using core::SetCorpus;
@@ -112,21 +110,18 @@ class SketchDetectSeeds : public ::testing::TestWithParam<std::uint32_t> {};
 TEST_P(SketchDetectSeeds, MatchesExactOnRandomSetCorpora) {
   const SetCorpus corpus = random_corpus(GetParam());
   for (const Metric metric : kAllMetrics) {
-    const auto exact =
-        sketch::detect_sibling_prefixes(corpus, {.metric = metric, .strategy = DetectStrategy::Exact});
+    const auto exact = core::detect_sibling_prefixes(corpus, {.metric = metric});
     ASSERT_FALSE(exact.empty());
     for (const unsigned threads : kThreadCounts) {
-      SketchStats stats;
+      core::DetectStats stats;
       const auto sketched = sketch::detect_sibling_prefixes(
-          corpus,
-          {.metric = metric, .threads = threads, .strategy = DetectStrategy::Sketch},
-          SketchParams{}, &stats);
+          corpus, {.metric = metric, .threads = threads, .stats = &stats});
       expect_byte_identical(sketched, exact);
-      EXPECT_EQ(stats.sources_total, corpus.detect_index().v4.prefix_count() +
-                                         corpus.detect_index().v6.prefix_count());
+      EXPECT_EQ(stats.prefixes_scanned, corpus.detect_index().v4.prefix_count() +
+                                            corpus.detect_index().v6.prefix_count());
       if (metric != Metric::Jaccard) {
         // Non-Jaccard metrics route every source through the exact scan.
-        EXPECT_EQ(stats.sources_fallback, stats.sources_total);
+        EXPECT_EQ(stats.sources_fallback, stats.prefixes_scanned);
       }
     }
   }
@@ -144,9 +139,8 @@ TEST(SketchDetect, MatchesExactOnSyntheticDnsCorpus) {
     const auto exact = core::detect_sibling_prefixes(corpus, {.metric = metric});
     ASSERT_FALSE(exact.empty());
     for (const unsigned threads : kThreadCounts) {
-      const auto sketched = sketch::detect_sibling_prefixes(
-          corpus,
-          {.metric = metric, .threads = threads, .strategy = DetectStrategy::Sketch});
+      const auto sketched =
+          sketch::detect_sibling_prefixes(corpus, {.metric = metric, .threads = threads});
       expect_byte_identical(sketched, exact);
     }
   }
@@ -159,79 +153,71 @@ TEST(SketchDetect, MatchesExactAcrossSketchParameterChoices) {
   // a different hash seed and a stricter floor all shift work between the
   // survivor and fallback paths without changing a byte of output.
   const SetCorpus corpus = random_corpus(42);
-  const auto exact = sketch::detect_sibling_prefixes(corpus, {});
+  const auto exact = core::detect_sibling_prefixes(corpus, {});
   for (const SketchParams params :
        {SketchParams{}, SketchParams{.k = 64, .margin = 0.5}, SketchParams{.k = 256},
         SketchParams{.seed = 0xDEADBEEFu}, SketchParams{.fallback_floor = 0.9}}) {
-    const auto sketched = sketch::detect_sibling_prefixes(
-        corpus, {.threads = 2, .strategy = DetectStrategy::Sketch}, params);
+    const auto sketched = sketch::detect_sibling_prefixes(corpus, {.threads = 2}, params);
     expect_byte_identical(sketched, exact);
   }
 }
 
-TEST(SketchDetect, DispatchRunsExactEngineForExactStrategy) {
+TEST(SketchDetect, ExactEngineMatchesSerialOracle) {
   const SetCorpus corpus = random_corpus(7);
   core::DetectStats exact_stats;
-  const auto via_dispatch = sketch::detect_sibling_prefixes(
-      corpus, {.threads = 2, .stats = &exact_stats, .strategy = DetectStrategy::Exact});
-  const auto via_core = core::detect_sibling_prefixes(corpus, {.threads = 2});
-  expect_byte_identical(via_dispatch, via_core);
+  const auto via_core = core::detect_sibling_prefixes(corpus, {.threads = 2, .stats = &exact_stats});
+  expect_byte_identical(via_core, core::detect_sibling_prefixes_serial(corpus));
   EXPECT_GT(exact_stats.prefixes_scanned, 0u);
-}
-
-TEST(SketchDetect, CoreEntryPointsRejectSketchStrategy) {
-  const SetCorpus corpus = random_corpus(7);
-  EXPECT_THROW((void)core::detect_sibling_prefixes(corpus, {.strategy = DetectStrategy::Sketch}),
-               std::logic_error);
-  const synth::SyntheticInternet universe(small_config());
-  const auto snapshot = universe.snapshot_at(universe.month_count() - 1);
-  const auto dns = core::DualStackCorpus::build(snapshot, universe.rib());
-  EXPECT_THROW((void)core::detect_sibling_prefixes(dns, {.strategy = DetectStrategy::Sketch}),
-               std::logic_error);
 }
 
 TEST(SketchDetect, StatsAreCoherentAndErrorStaysWithinMargin) {
   const SetCorpus corpus = random_corpus(1337);
-  SketchStats stats;
-  core::DetectStats scan_stats;
+  core::DetectStats stats;
   const SketchParams params;
-  (void)sketch::detect_sibling_prefixes(
-      corpus, {.threads = 1, .stats = &scan_stats, .strategy = DetectStrategy::Sketch},
-      params, &stats);
-  EXPECT_EQ(stats.sources_total, corpus.detect_index().v4.prefix_count() +
-                                     corpus.detect_index().v6.prefix_count());
-  EXPECT_LE(stats.sources_fallback, stats.sources_total);
+  (void)sketch::detect_sibling_prefixes(corpus, {.threads = 1, .stats = &stats}, params);
+  EXPECT_EQ(stats.prefixes_scanned, corpus.detect_index().v4.prefix_count() +
+                                        corpus.detect_index().v6.prefix_count());
+  EXPECT_LE(stats.sources_fallback, stats.prefixes_scanned);
   EXPECT_EQ(stats.sources_fallback, stats.fallback_no_candidates +
                                         stats.fallback_low_estimate + stats.fallback_low_exact);
   // The zero-false-negative argument assumes estimate error < margin; the
   // engine records the worst error it saw while verifying survivors.
   EXPECT_LT(stats.max_estimate_error, params.margin);
   EXPECT_GE(stats.signature_build_ms, 0.0);
-  // options.stats receives the embedded scan counters.
-  EXPECT_EQ(scan_stats.prefixes_scanned, stats.scan.prefixes_scanned);
+}
+
+TEST(SketchDetect, LowExactFallbackCountsEachSourceOnce) {
+  // J = 113/287 ≈ 0.394 sits just under the 0.40 fallback floor. Under
+  // this seed the estimate clears the floor, so both sources take the
+  // survivor path, verify below the floor and rerun exactly — and must
+  // still count once each, as in the exact engine.
+  SetCorpus corpus;
+  for (DomainId element = 0; element < 200; ++element) corpus.add(p("20.1.0.0/16"), element);
+  for (DomainId element = 87; element < 287; ++element) corpus.add(p("2620:a::/48"), element);
+  corpus.finalize();
+
+  core::DetectStats stats;
+  const auto sketched =
+      sketch::detect_sibling_prefixes(corpus, {.threads = 1, .stats = &stats}, {.seed = 2});
+  ASSERT_EQ(stats.fallback_low_exact, 2u);
+  EXPECT_EQ(stats.sources_fallback, 2u);
+  EXPECT_EQ(stats.prefixes_scanned, 2u);
+
+  core::DetectStats exact_stats;
+  expect_byte_identical(sketched,
+                        core::detect_sibling_prefixes(corpus, {.stats = &exact_stats}));
+  EXPECT_EQ(stats.prefixes_scanned, exact_stats.prefixes_scanned);
 }
 
 TEST(SketchDetect, EmptyAndOneSidedCorpora) {
   SetCorpus empty;
   empty.finalize();
-  EXPECT_TRUE(
-      sketch::detect_sibling_prefixes(empty, {.strategy = DetectStrategy::Sketch}).empty());
+  EXPECT_TRUE(sketch::detect_sibling_prefixes(empty).empty());
 
   SetCorpus v4_only;
   v4_only.add(p("20.1.0.0/16"), 1);
   v4_only.finalize();
-  EXPECT_TRUE(
-      sketch::detect_sibling_prefixes(v4_only, {.strategy = DetectStrategy::Sketch}).empty());
-}
-
-TEST(SketchDetect, DetectorIsReusableAcrossCorpora) {
-  const SetCorpus first = random_corpus(11);
-  const SetCorpus second = random_corpus(22);
-  SketchDetector detector({}, 4);
-  expect_byte_identical(detector.detect(first.detect_index(), {}),
-                        core::detect_sibling_prefixes(first, {}));
-  expect_byte_identical(detector.detect(second.detect_index(), {}),
-                        core::detect_sibling_prefixes(second, {}));
+  EXPECT_TRUE(sketch::detect_sibling_prefixes(v4_only).empty());
 }
 
 // --- SketchEstimator + SP-Tuner integration ---
@@ -366,11 +352,10 @@ TEST(SynthScale, SketchIdentityHoldsAtScale) {
   const auto corpus = core::DualStackCorpus::build(snapshot, universe.rib());
   const auto exact = core::detect_sibling_prefixes(corpus, {});
   ASSERT_FALSE(exact.empty());
-  SketchStats stats;
-  const auto sketched = sketch::detect_sibling_prefixes(
-      corpus, {.threads = 2, .strategy = DetectStrategy::Sketch}, SketchParams{}, &stats);
+  core::DetectStats stats;
+  const auto sketched = sketch::detect_sibling_prefixes(corpus, {.threads = 2, .stats = &stats});
   expect_byte_identical(sketched, exact);
-  EXPECT_GT(stats.sources_total, 0u);
+  EXPECT_GT(stats.prefixes_scanned, 0u);
 }
 
 }  // namespace

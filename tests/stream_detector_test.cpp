@@ -3,8 +3,9 @@
 // *byte-identical* (similarity doubles compared at the bit level) to a
 // from-scratch exact run over the post-delta corpus — across seeds,
 // event mixes, thread counts, the forced-sketch path and the full-rescan
-// path. Also covers the dirty-set sparsity the subsystem exists for, and
-// the error contract (apply before init, inconsistent deltas).
+// path. Also covers the dirty-set sparsity the subsystem exists for, the
+// error contract (apply before init, inconsistent deltas) and the
+// `stream.pairs_current` gauge.
 #include "stream/stream_detector.h"
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 
 #include "core/corpus_delta.h"
 #include "core/detect.h"
+#include "obs/metrics.h"
 
 namespace sp::stream {
 namespace {
@@ -180,7 +182,7 @@ TEST(StreamDetectorSketch, ForcedSketchPathStaysByteIdentical) {
   for (const std::uint32_t seed : {1u, 42u, 1337u}) {
     StreamOptions options;
     options.threads = 2;
-    options.strategy = core::DetectStrategy::Sketch;
+    options.sketch = sketch::SketchParams{};
     options.sketch_min_dirty = 0;  // every apply routes through the LSH filter
     run_identity_campaign(seed, kMixes[1], options);
   }
@@ -190,7 +192,7 @@ TEST(StreamDetectorSketch, SketchThresholdGatesTheFilter) {
   std::mt19937 rng(5);
   EdgeMap edges = seeded_edges(5);
   StreamOptions options;
-  options.strategy = core::DetectStrategy::Sketch;
+  options.sketch = sketch::SketchParams{};
   options.sketch_min_dirty = 0;
   StreamDetector detector(options);
   detector.init(make_corpus(edges).detect_index());
@@ -283,6 +285,36 @@ TEST(StreamDetector, InconsistentDeltaThrowsAndKeepsState) {
   const core::SetCorpus corpus = make_corpus(next);
   detector.apply(CorpusDelta::between(detector.index(), corpus.detect_index()));
   expect_byte_identical(detector.pairs(), core::detect_sibling_prefixes(corpus), "recovery");
+}
+
+TEST(StreamDetector, PairsCurrentGaugeTracksThePairCount) {
+  const obs::Gauge gauge = obs::MetricsRegistry::global().gauge("stream.pairs_current");
+  const std::int64_t base = gauge.value();
+  const EdgeMap one_pair = {{p("10.0.0.0/24"), {1}}, {p("2001:db8::/48"), {1}}};
+  EdgeMap two_pairs = one_pair;
+  two_pairs[p("10.1.0.0/24")] = {2};
+  two_pairs[p("2001:db8:1::/48")] = {2};
+  {
+    StreamDetector detector;
+    detector.init(make_corpus(one_pair).detect_index());
+    ASSERT_EQ(detector.pairs().size(), 1u);
+    EXPECT_EQ(gauge.value() - base, 1);
+    detector.apply(
+        CorpusDelta::between(detector.index(), make_corpus(two_pairs).detect_index()));
+    ASSERT_EQ(detector.pairs().size(), 2u);
+    EXPECT_EQ(gauge.value() - base, 2);
+    {
+      // A second detector adds its own share; a re-init moves it by the
+      // change, not the total.
+      StreamDetector second;
+      second.init(make_corpus(one_pair).detect_index());
+      EXPECT_EQ(gauge.value() - base, 3);
+      second.init(make_corpus(two_pairs).detect_index());
+      EXPECT_EQ(gauge.value() - base, 4);
+    }
+    EXPECT_EQ(gauge.value() - base, 2);
+  }
+  EXPECT_EQ(gauge.value() - base, 0);
 }
 
 TEST(StreamDetector, ReinitReplacesState) {
