@@ -27,8 +27,6 @@ cmake --build build -j "$JOBS"
 # scheduler (layered-graph stress on a multi-worker pool) and the worker
 # pool's task-queue mode it runs on; the obs suites race sharded metric
 # increments and trace spans against concurrent scrapes/serialization.
-# ReloadChurn is excluded: it is single-threaded (1000 sequential
-# loads proving retired-stats boundedness) and TSan only slows it.
 # The net suites race the epoll workers: pipelined QUERY traffic over
 # several connections against RELOAD hot-swaps, slow-reader
 # backpressure, and the acceptor's inbox handoff. The sketch suites
@@ -50,8 +48,7 @@ cmake --build build-tsan -j "$JOBS" --target core_detect_parallel_test \
   stream_detector_test stream_spdl_test stream_serve_delta_test \
   chaos_scenario_test chaos_soak_test pipeline_signal_test
 (cd build-tsan && ctest --output-on-failure -j "$JOBS" \
-  -R 'DetectParallel|Parallel|Serve|PipelineStageGraph|PipelineSignal|WorkerPool|Obs|NetServer|NetProtocol|Sketch|Signature|Lsh|SynthScale|Stream|Chaos' \
-  -E 'ReloadChurn')
+  -R 'DetectParallel|Parallel|Serve|PipelineStageGraph|PipelineSignal|WorkerPool|Obs|NetServer|NetProtocol|Sketch|Signature|Lsh|SynthScale|Stream|Chaos')
 
 # Stage 3: memory-safety pass over the byte-level parsers under
 # AddressSanitizer + UBSan. The CSV suite includes a seeded fuzz-style
@@ -141,13 +138,13 @@ fi
 # sweep against a fresh oracle. Three flavors:
 #
 # (a) plain build with hard resource bounds. The RSS ceiling is the
-#     regression net for the retired-snapshot engine retention bug: the
-#     service used to keep up to 64 retired snapshots (≈80 MB of
-#     DIR-24-8 tables each) alive just for their tally counters, so
-#     reload churn pushed peak RSS past 3 GB. Post-fix the same run
-#     stays under ~300 MB; 900 MB trips only on a regression.
+#     regression net for snapshot retention: a snapshot must be freed
+#     once nothing pins it, with only its generation's tally kept. The
+#     fixtures' snapshots are small and this run peaks at ~6 MB, so
+#     64 MB trips when snapshots pile up under reload churn or a
+#     snapshot starts to cost tens of MB regardless of its pair count.
 ./build/tools/sp_soak --dir "$SMOKE_DIR/soak" --seconds 12 --seed 7 \
-  --max-rss-kb 900000 --max-p99-us 50000
+  --max-rss-kb 65536 --max-p99-us 50000
 #
 # (b) the same driver under ASan/UBSan: memory-safety over the whole
 #     serving stack while faults fly (no RSS/p99 bounds — ASan inflates

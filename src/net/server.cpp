@@ -416,13 +416,7 @@ void Server::dispatch_frame(Connection& connection, const Frame& frame) {
       std::uint64_t hit_count = 0;
       for (const Prefix& key : request->keys) {
         std::optional<serve::SiblingAnswer> answer;
-        if (snapshot) {
-          // Full-length keys are address lookups (FlatLpm4 fast path for
-          // v4); shorter keys are whole-prefix LPM lookups.
-          answer = key.length() == key.max_length()
-                       ? snapshot->engine.query(key.address())
-                       : snapshot->engine.query(key);
-        }
+        if (snapshot) answer = snapshot->engine.query(key);
         hit_count += answer.has_value() ? 1 : 0;
         response.answers.push_back(std::move(answer));
       }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <unordered_map>
 
 #include "obs/trace.h"
 
@@ -21,32 +20,21 @@ LookupEngine::LookupEngine(const SiblingDB& db)
     : db_(&db),
       batch_us_(obs::MetricsRegistry::global().histogram("serve.batch_us")),
       batch_queries_(obs::MetricsRegistry::global().counter("serve.batch_queries")) {
-  // Pick one representative record per distinct stored prefix: the
-  // highest-similarity record, first-in-file on ties. The maps are
-  // transient; the engine keeps only the flat table and the trie.
-  std::unordered_map<Prefix, std::uint32_t> best_v4;
-  std::unordered_map<Prefix, std::uint32_t> best_v6;
-  best_v4.reserve(db.size());
-  best_v6.reserve(db.size());
+  // One trie node per distinct stored prefix, holding its representative
+  // record: the highest-similarity one, first in file on ties.
+  const auto consider = [&](const Prefix& prefix, std::uint32_t record, std::size_t& distinct) {
+    if (std::uint32_t* best = trie_.find(prefix)) {
+      if (db.similarity(record) > db.similarity(*best)) *best = record;
+      return;
+    }
+    trie_.insert(prefix, record);
+    ++distinct;
+  };
   for (std::size_t i = 0; i < db.size(); ++i) {
     const auto record = static_cast<std::uint32_t>(i);
-    const auto consider = [&](std::unordered_map<Prefix, std::uint32_t>& best,
-                              const Prefix& prefix) {
-      const auto [it, inserted] = best.try_emplace(prefix, record);
-      if (!inserted && db.similarity(record) > db.similarity(it->second)) {
-        it->second = record;
-      }
-    };
-    consider(best_v4, db.v4_prefix(i));
-    consider(best_v6, db.v6_prefix(i));
+    consider(db.v4_prefix(i), record, v4_count_);
+    consider(db.v6_prefix(i), record, v6_count_);
   }
-  v4_count_ = best_v4.size();
-  v6_count_ = best_v6.size();
-  for (const auto& [prefix, record] : best_v4) {
-    v4_lpm_.insert(prefix, record);
-    trie_.insert(prefix, record);
-  }
-  for (const auto& [prefix, record] : best_v6) trie_.insert(prefix, record);
 }
 
 SiblingAnswer LookupEngine::answer_from(std::uint32_t record, Family query_family) const {
@@ -62,14 +50,7 @@ SiblingAnswer LookupEngine::answer_from(std::uint32_t record, Family query_famil
 }
 
 std::optional<SiblingAnswer> LookupEngine::query(const IPAddress& address) const {
-  if (address.is_v4()) {
-    const std::uint32_t* record = v4_lpm_.lookup(address.v4());
-    if (record == nullptr) return std::nullopt;
-    return answer_from(*record, Family::v4);
-  }
-  const auto hit = trie_.longest_match(address);
-  if (!hit) return std::nullopt;
-  return answer_from(*hit->second, Family::v6);
+  return query(Prefix::host(address));
 }
 
 std::optional<SiblingAnswer> LookupEngine::query(const Prefix& prefix) const {

@@ -3,13 +3,12 @@
 // The operational question the published lists exist to answer is a point
 // lookup: "given this IPv4 (or IPv6) address or prefix, what is its
 // sibling prefix on the other family, with what confidence?" The engine
-// builds two in-memory indexes over a SiblingDB snapshot:
-//
-//   * a DIR-24-8 FlatLpm4 over the v4 prefixes — O(1) per v4 address, the
-//     hot path for traffic-driven consumers (blocklist transfer, policy
-//     audit);
-//   * a Patricia trie over both families — v6 address lookups and
-//     longest-prefix-match queries for whole prefixes.
+// builds one in-memory index over a SiblingDB snapshot: a Patricia trie
+// over both families, one node per distinct stored prefix, that answers
+// address lookups (as host-prefix queries) and longest-prefix-match
+// queries for whole prefixes alike. Its size is O(pairs), so building
+// one per snapshot load is cheap and a hyper-specific /25–/32 or /49+
+// prefix costs what any other prefix costs.
 //
 // When several records share one matched prefix (best-match ties), the
 // engine answers with the highest-similarity record, breaking ties by
@@ -29,7 +28,6 @@
 #include "core/worker_pool.h"
 #include "obs/metrics.h"
 #include "serve/sibdb.h"
-#include "trie/flat_lpm.h"
 #include "trie/prefix_trie.h"
 
 namespace sp::serve {
@@ -57,7 +55,8 @@ class LookupEngine {
   LookupEngine(const LookupEngine&) = delete;
   LookupEngine& operator=(const LookupEngine&) = delete;
 
-  /// Longest-prefix match for a single address of either family.
+  /// Longest-prefix match for a single address of either family (the
+  /// prefix query of its host prefix).
   [[nodiscard]] std::optional<SiblingAnswer> query(const IPAddress& address) const;
 
   /// Longest-prefix match for a whole prefix: the most specific stored
@@ -77,8 +76,7 @@ class LookupEngine {
   [[nodiscard]] SiblingAnswer answer_from(std::uint32_t record, Family query_family) const;
 
   const SiblingDB* db_;
-  FlatLpm4<std::uint32_t> v4_lpm_;      // v4 prefix -> representative record
-  PrefixTrie<std::uint32_t> trie_;      // both families -> representative record
+  PrefixTrie<std::uint32_t> trie_;  // both families -> representative record
   std::size_t v4_count_ = 0;
   std::size_t v6_count_ = 0;
 

@@ -1,6 +1,6 @@
 #include "serve/service.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "lint/lock_order.h"
 
@@ -29,49 +29,26 @@ bool SiblingService::load(const std::string& path, std::string* error) {
   if (!db) return false;
   // Build the replacement off to the side; readers keep serving the old
   // snapshot until the single pointer swap below.
-  const std::uint64_t generation = next_generation_.fetch_add(1, std::memory_order_relaxed);
-  auto snapshot = std::make_shared<const Snapshot>(std::move(*db), path, generation);
+  auto snapshot = std::make_shared<Snapshot>(std::move(*db), path);
+  std::shared_ptr<const Snapshot> outgoing;  // freed after the lock drops
   {
     std::lock_guard lock(current_mutex_);
     [[maybe_unused]] const lint::LockOrderScope held("serve.service.current_mutex");
-    if (current_) {
-      // Retire the outgoing snapshot itself, not a captured tally:
-      // batches that pinned it before the swap keep counting into its
-      // atomics, so capturing numbers here would lose their counts.
-      retired_.push_back(current_);
-    }
-    // A retired snapshot is only needed for its tally; its mmap and
-    // lookup tables are not. Capture every no-longer-pinned retiree
-    // (use_count()==1 is stable under current_mutex_: new pins can only
-    // come from current_) into a light stats record and free the heavy
-    // snapshot right away. A still-pinned entry's tally may still grow,
-    // so it stays as a snapshot until a later reload finds it unpinned.
-    for (auto it = retired_.begin(); it != retired_.end();) {
-      if (it->use_count() == 1) {
-        retired_stats_.push_back({(*it)->generation,
-                                  (*it)->served_queries.load(std::memory_order_relaxed),
-                                  (*it)->served_hits.load(std::memory_order_relaxed)});
-        it = retired_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    // A long-pinned snapshot can outlive younger retirees and capture
-    // late; keep the window sorted so compaction folds oldest-first.
-    std::sort(retired_stats_.begin(), retired_stats_.end(),
-              [](const GenerationStats& a, const GenerationStats& b) {
-                return a.generation < b.generation;
-              });
-    // Keep the stats window bounded under reload churn: fold the oldest
-    // captured tallies into the cumulative bucket once the cap is hit.
-    while (retired_stats_.size() + retired_.size() > kRetiredGenerationCap &&
-           !retired_stats_.empty()) {
-      compacted_.queries += retired_stats_.front().queries;
-      compacted_.hits += retired_stats_.front().hits;
+    // Numbered at publication, not at build start: concurrent loads then
+    // go live in generation order whichever build finishes first.
+    snapshot->generation = ++published_;
+    snapshot->tally = std::make_shared<GenerationTally>(snapshot->generation);
+    if (current_) retired_.push_back(current_->tally);
+    // Fold the oldest final tallies into the aggregate beyond the cap; a
+    // pinned front waits for a later load, keeping the list contiguous.
+    while (retired_.size() > kRetiredGenerationCap && retired_.front().use_count() == 1) {
+      const GenerationStats folded = retired_.front()->stats();
+      compacted_.queries += folded.queries;
+      compacted_.hits += folded.hits;
       ++compacted_count_;
-      retired_stats_.erase(retired_stats_.begin());
+      retired_.pop_front();
     }
-    current_ = std::move(snapshot);
+    outgoing = std::exchange(current_, std::move(snapshot));
   }
   reloads_.fetch_add(1, std::memory_order_relaxed);
   return true;
@@ -168,33 +145,16 @@ ServiceStats SiblingService::stats() const {
   out.batch_p99_us = batch_hist.quantile(0.99);
   out.batch_max_us = batch_hist.max;
 
-  std::shared_ptr<const Snapshot> snap;
-  {
-    std::lock_guard lock(current_mutex_);
-    [[maybe_unused]] const lint::LockOrderScope held("serve.service.current_mutex");
-    snap = current_;
-    out.generations.reserve(retired_stats_.size() + retired_.size() + 1);
-    out.generations.insert(out.generations.end(), retired_stats_.begin(),
-                           retired_stats_.end());
-    for (const auto& retired : retired_) {
-      out.generations.push_back({retired->generation,
-                                 retired->served_queries.load(std::memory_order_relaxed),
-                                 retired->served_hits.load(std::memory_order_relaxed)});
-    }
-    // Still-pinned retirees can be older than captured records.
-    std::sort(out.generations.begin(), out.generations.end(),
-              [](const GenerationStats& a, const GenerationStats& b) {
-                return a.generation < b.generation;
-              });
-    out.compacted = compacted_;
-    out.compacted_generations = compacted_count_;
+  std::lock_guard lock(current_mutex_);
+  [[maybe_unused]] const lint::LockOrderScope held("serve.service.current_mutex");
+  out.generations.reserve(retired_.size() + 1);
+  for (const auto& tally : retired_) out.generations.push_back(tally->stats());
+  if (current_) {
+    out.generation = current_->generation;
+    out.generations.push_back(current_->tally->stats());
   }
-  out.generation = snap ? snap->generation : 0;
-  if (snap) {
-    out.generations.push_back({snap->generation,
-                               snap->served_queries.load(std::memory_order_relaxed),
-                               snap->served_hits.load(std::memory_order_relaxed)});
-  }
+  out.compacted = compacted_;
+  out.compacted_generations = compacted_count_;
   return out;
 }
 

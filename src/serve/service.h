@@ -10,10 +10,12 @@
 //     pin the snapshot for the duration of one query or one whole
 //     batch, and drop the reference when done;
 //   * load() builds the new snapshot entirely off to the side (mmap +
-//     index build), then swaps the pointer in one assignment under the
-//     same lock; the old snapshot is freed by whichever side drops the
-//     last reference, so in-flight queries drain on the data they
-//     started with and no answer is ever torn across two snapshots.
+//     index build), then numbers it and swaps the pointer in one
+//     assignment under the same lock, so generations go live in
+//     increasing order even when concurrent loads finish out of order;
+//     the old snapshot is freed by whichever side drops the last
+//     reference, so in-flight queries drain on the data they started
+//     with and no answer is ever torn across two snapshots.
 //
 // The slot is a mutex-guarded shared_ptr rather than
 // std::atomic<std::shared_ptr>: the critical section is a pointer copy,
@@ -24,8 +26,11 @@
 // Every batch is answered from exactly one snapshot (BatchResult pins
 // it), which is what the hot-reload race test asserts under TSan.
 //
-// Counters (queries, hits, misses, batches, reloads, latency sums) are
-// relaxed atomics: cheap on the hot path, exact totals when quiesced.
+// Counters (queries, hits, misses, batches, reloads, latency sums, and
+// each generation's tally) are relaxed atomics: cheap on the hot path,
+// exact totals when quiesced. A generation's tally is shared between its
+// snapshot and the service, so it outlives the snapshot: retiring a
+// generation keeps a few dozen bytes, never the snapshot itself.
 //
 // sp-lint-file: atomics-ok(independent statistics counters; relaxed is
 // sound because nothing orders against them and exact totals are only
@@ -35,6 +40,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -49,28 +55,6 @@
 
 namespace sp::serve {
 
-/// An immutable loaded database + its lookup indexes. The engine holds a
-/// pointer into `db`, so the two live and die together. The two counters
-/// are the snapshot's own serving tally (relaxed atomics, mutable so a
-/// pinned const snapshot can count) — the source of the per-generation
-/// hit rates in ServiceStats.
-struct Snapshot {
-  Snapshot(SiblingDB loaded, std::string source_path, std::uint64_t gen)
-      : db(std::move(loaded)), engine(db), path(std::move(source_path)), generation(gen) {}
-
-  void count(std::uint64_t queries, std::uint64_t hits) const noexcept {
-    served_queries.fetch_add(queries, std::memory_order_relaxed);
-    served_hits.fetch_add(hits, std::memory_order_relaxed);
-  }
-
-  SiblingDB db;
-  LookupEngine engine;
-  std::string path;
-  std::uint64_t generation;  // monotonically increasing per successful load
-  mutable std::atomic<std::uint64_t> served_queries{0};  // single + batch members
-  mutable std::atomic<std::uint64_t> served_hits{0};
-};
-
 /// Serving tally of one snapshot generation (current or retired).
 struct GenerationStats {
   std::uint64_t generation = 0;
@@ -82,10 +66,46 @@ struct GenerationStats {
   }
 };
 
+/// The live counters behind one generation's GenerationStats, shared by
+/// its snapshot (which counts into it) and the service (which reports
+/// it after the snapshot is gone).
+struct GenerationTally {
+  explicit GenerationTally(std::uint64_t gen) : generation(gen) {}
+
+  [[nodiscard]] GenerationStats stats() const noexcept {
+    return {generation, queries.load(std::memory_order_relaxed),
+            hits.load(std::memory_order_relaxed)};
+  }
+
+  const std::uint64_t generation;
+  std::atomic<std::uint64_t> queries{0};  // single queries + batch members
+  std::atomic<std::uint64_t> hits{0};
+};
+
+/// An immutable loaded database + its lookup index. The engine holds a
+/// pointer into `db`, so the two live and die together. SiblingService
+/// sets `generation` and `tally` when it publishes the snapshot; after
+/// that nothing in it changes but the tally's counters.
+struct Snapshot {
+  Snapshot(SiblingDB loaded, std::string source_path)
+      : db(std::move(loaded)), engine(db), path(std::move(source_path)) {}
+
+  void count(std::uint64_t queries, std::uint64_t hits) const noexcept {
+    tally->queries.fetch_add(queries, std::memory_order_relaxed);
+    tally->hits.fetch_add(hits, std::memory_order_relaxed);
+  }
+
+  SiblingDB db;
+  LookupEngine engine;
+  std::string path;
+  std::uint64_t generation = 0;  // increasing in publication order
+  std::shared_ptr<GenerationTally> tally;
+};
+
 /// Retired generations kept individually before compaction folds the
 /// oldest into the cumulative bucket (ServiceStats::compacted). 64 spans
 /// two months of hourly reloads; beyond that only the aggregate is
-/// interesting, and an unbounded vector would leak under reload churn.
+/// interesting, and an unbounded list would leak under reload churn.
 inline constexpr std::size_t kRetiredGenerationCap = 64;
 
 /// Point-in-time service counters.
@@ -114,9 +134,10 @@ struct ServiceStats {
   std::uint64_t batch_max_us = 0;
 
   /// Hit rate per snapshot generation this service has served, oldest
-  /// first; the last entry is the live generation. At most
-  /// kRetiredGenerationCap retired entries plus the live one — older
-  /// retirees are folded into `compacted`.
+  /// first and contiguous; the last entry is the live generation.
+  /// kRetiredGenerationCap retired entries plus the live one once older
+  /// retirees are folded into `compacted` — more only while the oldest
+  /// retired snapshot is still pinned by an in-flight query.
   std::vector<GenerationStats> generations;
 
   /// Cumulative tally of every retired generation older than the
@@ -175,39 +196,27 @@ class SiblingService {
   // reentrant; held across the batch, so core.worker_pool.mutex nests
   // inside it)
   std::mutex pool_mutex_;
-  std::atomic<std::uint64_t> next_generation_{1};
   // lock-order: 20 serve.service.current_mutex (guards the pointer
-  // copy/swap and the retired tallies only; leaf — nothing is acquired
-  // under it)
+  // copy/swap, the generation numbering and the retired tallies only;
+  // leaf — nothing is acquired under it)
   mutable std::mutex current_mutex_;
   std::shared_ptr<const Snapshot> current_;
+  std::uint64_t published_ = 0;  // generations published so far
 
   std::atomic<std::uint64_t> queries_{0}, hits_{0}, misses_{0};
   std::atomic<std::uint64_t> batches_{0}, batch_queries_{0}, batch_hits_{0};
   std::atomic<std::uint64_t> reloads_{0};
   std::atomic<std::uint64_t> query_ns_{0}, batch_ns_{0};
 
-  // Generations this service replaced (under current_mutex_) whose
-  // tallies are not final yet: a batch that pinned the outgoing snapshot
-  // before the swap keeps counting into its atomics after the swap, so a
-  // retiree stays here *as a snapshot* only while something still pins
-  // it (use_count()>1 — stable under current_mutex_: new pins can only
-  // come from current_). The moment it is unpinned, its tally is
-  // captured into retired_stats_ and the snapshot itself is freed:
-  // holding whole snapshots for the stats window kept each one's mmap
-  // and DIR-24-8 lookup tables (~80 MB) alive, and under reload churn
-  // peak RSS grew by kRetiredGenerationCap × that (the soak harness's
-  // RSS bound caught it). Which makes per-generation counts conserved
-  // under reload-during-traffic — the invariant the net server's TSan
-  // reload test asserts — while memory stays bounded by the transiently
-  // pinned snapshots only.
-  std::vector<std::shared_ptr<const Snapshot>> retired_;
-  // Final tallies of unpinned retirees, sorted by generation; together
-  // with retired_ at most kRetiredGenerationCap entries — overflow folds
-  // oldest-first into compacted_.
-  std::vector<GenerationStats> retired_stats_;
-  GenerationStats compacted_;             // aggregate of folded retirees
-  std::uint64_t compacted_count_ = 0;     // generations folded so far
+  // Tallies of the generations this service replaced, oldest first. A
+  // batch that pinned a snapshot before the swap keeps counting into its
+  // tally after it, so a tally is final only once its snapshot is gone
+  // (use_count()==1: only this list still holds it, and nothing can pin
+  // a retired snapshot again). Beyond kRetiredGenerationCap, final
+  // tallies fold front-first into compacted_.
+  std::deque<std::shared_ptr<const GenerationTally>> retired_;
+  GenerationStats compacted_;          // aggregate of folded retirees
+  std::uint64_t compacted_count_ = 0;  // generations folded so far
 
   // Latency histograms in the process-wide registry (shared across
   // services by name — the registry is the fleet view; the per-service

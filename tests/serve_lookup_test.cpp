@@ -35,20 +35,20 @@ core::SiblingPair make_pair(const Prefix& v4, const Prefix& v6, double similarit
 }
 
 // The semantics the engine promises: the most specific stored prefix
-// covering the query; among records sharing that prefix, the highest
-// similarity, breaking ties by file order.
-std::optional<SiblingAnswer> oracle(const SiblingDB& db, const IPAddress& address) {
+// containing the query (an exact match qualifies; an address is its host
+// prefix); among records sharing that prefix, the highest similarity,
+// breaking ties by file order.
+std::optional<SiblingAnswer> oracle(const SiblingDB& db, const Prefix& query) {
   std::optional<std::size_t> best;
   for (std::size_t i = 0; i < db.size(); ++i) {
-    const Prefix stored =
-        address.family() == Family::v4 ? db.v4_prefix(i) : db.v6_prefix(i);
-    if (stored.family() != address.family() || !stored.contains(address)) continue;
+    const Prefix stored = query.family() == Family::v4 ? db.v4_prefix(i) : db.v6_prefix(i);
+    if (stored.family() != query.family() || !stored.contains(query)) continue;
     if (!best) {
       best = i;
       continue;
     }
     const Prefix current =
-        address.family() == Family::v4 ? db.v4_prefix(*best) : db.v6_prefix(*best);
+        query.family() == Family::v4 ? db.v4_prefix(*best) : db.v6_prefix(*best);
     if (stored.length() > current.length() ||
         (stored.length() == current.length() && db.similarity(i) > db.similarity(*best))) {
       best = i;
@@ -57,7 +57,7 @@ std::optional<SiblingAnswer> oracle(const SiblingDB& db, const IPAddress& addres
   if (!best) return std::nullopt;
   const std::size_t i = *best;
   SiblingAnswer answer;
-  if (address.family() == Family::v4) {
+  if (query.family() == Family::v4) {
     answer.matched = db.v4_prefix(i);
     answer.sibling = db.v6_prefix(i);
   } else {
@@ -153,8 +153,9 @@ TEST(ServeLookup, DuplicatePrefixAnswersHighestSimilarityFirstInFile) {
 }
 
 // The acceptance property: CSV -> sibdb -> mmap -> engine agrees with the
-// linear-scan oracle over the loaded records, for every stored prefix and
-// for random probes inside and outside the covered space.
+// linear-scan oracle over the loaded records, for address and prefix
+// queries alike, probing every stored prefix and random keys inside and
+// outside the covered space.
 class ServeLookupProperty : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(ServeLookupProperty, FullPathMatchesLinearScanOracle) {
@@ -178,6 +179,11 @@ TEST_P(ServeLookupProperty, FullPathMatchesLinearScanOracle) {
         Prefix::of(IPAddress(IPv6Address(v6_bytes)), v6_len(rng)), sim(rng),
         1 + (word(rng) % 8)));
   }
+  // Edge records: host routes on both families and, on odd seeds, the
+  // default routes (even seeds keep misses in play).
+  pairs.push_back(make_pair(p("20.1.2.3/32"), p("2620:0:1::3/128"), 0.5));
+  pairs.push_back(make_pair(p("20.40.0.7/32"), p("2620:ffff::7/128"), 0.25));
+  if (GetParam() % 2 == 1) pairs.push_back(make_pair(p("0.0.0.0/0"), p("::/0"), 0.125));
 
   const std::string seed_tag = std::to_string(GetParam());
   const std::string csv_path = ::testing::TempDir() + "/sp_lookup_prop_" + seed_tag + ".csv";
@@ -214,10 +220,36 @@ TEST_P(ServeLookupProperty, FullPathMatchesLinearScanOracle) {
   ASSERT_EQ(serial.size(), probes.size());
   ASSERT_EQ(pooled.size(), probes.size());
   for (std::size_t i = 0; i < probes.size(); ++i) {
-    const auto expected = oracle(*db, probes[i]);
+    const auto expected = oracle(*db, Prefix::host(probes[i]));
     ASSERT_EQ(serial[i], expected) << probes[i].to_string();
     ASSERT_EQ(pooled[i], serial[i]) << probes[i].to_string();
     ASSERT_EQ(engine.query(probes[i]), expected) << probes[i].to_string();
+  }
+
+  // Prefix probes: every stored prefix (exact matches), plus random
+  // prefixes of every length inside the clusters and anywhere at all.
+  std::vector<Prefix> prefix_probes;
+  for (std::size_t i = 0; i < db->size(); ++i) {
+    prefix_probes.push_back(db->v4_prefix(i));
+    prefix_probes.push_back(db->v6_prefix(i));
+  }
+  std::uniform_int_distribution<unsigned> any_v4_len(0, 32);
+  std::uniform_int_distribution<unsigned> any_v6_len(0, 128);
+  for (int i = 0; i < 1000; ++i) {
+    prefix_probes.push_back(Prefix::of(
+        IPAddress(IPv4Address(0x14000000u | (word(rng) & 0x003FFFFFu))), any_v4_len(rng)));
+    prefix_probes.push_back(Prefix::of(IPAddress(IPv4Address(word(rng))), any_v4_len(rng)));
+    IPv6Address::Bytes inside{};
+    IPv6Address::Bytes anywhere{};
+    for (auto& b : inside) b = static_cast<std::uint8_t>(word(rng));
+    for (auto& b : anywhere) b = static_cast<std::uint8_t>(word(rng));
+    inside[0] = 0x26;
+    inside[1] = 0x20;
+    prefix_probes.push_back(Prefix::of(IPAddress(IPv6Address(inside)), any_v6_len(rng)));
+    prefix_probes.push_back(Prefix::of(IPAddress(IPv6Address(anywhere)), any_v6_len(rng)));
+  }
+  for (const Prefix& probe : prefix_probes) {
+    ASSERT_EQ(engine.query(probe), oracle(*db, probe)) << probe.to_string();
   }
 }
 

@@ -14,6 +14,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -211,6 +212,64 @@ TEST(ServeService, ReloadChurnBoundsRetiredGenerations) {
   EXPECT_EQ(hits, kReloads);
 }
 
+// Retirement keeps a generation's tally, never its snapshot: an unpinned
+// retiree is freed by the load() that replaces it, a pinned one lives
+// exactly as long as its pin and keeps counting into its own generation,
+// and a pinned oldest tally is not folded until its snapshot is gone.
+TEST(ServeService, RetiredSnapshotIsFreedOnceUnpinned) {
+  SiblingService service(1);
+  const std::string path = write_tagged_db("sp_service_retire.sibdb", 0.5);
+  const IPAddress covered(*IPv4Address::from_string("20.1.2.3"));
+
+  ASSERT_TRUE(service.load(path));
+  const std::weak_ptr<const Snapshot> gen1 = service.snapshot();
+  EXPECT_TRUE(service.query(covered).has_value());
+  ASSERT_TRUE(service.load(path));
+  EXPECT_TRUE(gen1.expired());  // nothing pinned it: freed at the swap
+
+  // Pin generation 2 as a batch would (net::Server's QUERY frames pin,
+  // look up and count), and let a swap happen mid-batch.
+  std::shared_ptr<const Snapshot> pinned = service.snapshot();
+  ASSERT_EQ(pinned->generation, 2u);
+  const std::weak_ptr<const Snapshot> gen2 = pinned;
+  ASSERT_TRUE(service.load(path));
+  const auto late = pinned->engine.query(covered);
+  ASSERT_TRUE(late.has_value());
+  pinned->count(1, 1);
+  EXPECT_FALSE(gen2.expired());
+
+  // While pinned, generation 2 is the oldest tally the cap cannot fold.
+  for (std::size_t i = 0; i < kRetiredGenerationCap + 2; ++i) ASSERT_TRUE(service.load(path));
+  auto stats = service.stats();
+  const std::uint64_t live = 3 + kRetiredGenerationCap + 2;
+  EXPECT_EQ(stats.generation, live);
+  EXPECT_EQ(stats.compacted_generations, 1u);  // generation 1 only
+  ASSERT_EQ(stats.generations.size(), live - 1);
+  EXPECT_EQ(stats.generations.front().generation, 2u);
+  EXPECT_EQ(stats.generations.front().queries, 1u);  // the late count landed
+  EXPECT_EQ(stats.generations.front().hits, 1u);
+
+  pinned.reset();
+  EXPECT_TRUE(gen2.expired());  // freed with its last pin, not at a load
+  ASSERT_TRUE(service.load(path));
+  stats = service.stats();
+  ASSERT_EQ(stats.generations.size(), kRetiredGenerationCap + 1);
+  EXPECT_EQ(stats.generations.front().generation, stats.generation - kRetiredGenerationCap);
+  EXPECT_EQ(stats.compacted_generations, stats.generation - 1 - kRetiredGenerationCap);
+
+  // Conserved: one single query on generation 1, one late count on 2.
+  std::uint64_t queries = stats.compacted.queries;
+  std::uint64_t hits = stats.compacted.hits;
+  for (const GenerationStats& gen : stats.generations) {
+    queries += gen.queries;
+    hits += gen.hits;
+  }
+  EXPECT_EQ(queries, stats.queries + 1);
+  EXPECT_EQ(hits, stats.hits + 1);
+  EXPECT_EQ(queries, 2u);
+  EXPECT_EQ(hits, 2u);
+}
+
 TEST(ServeService, ReloadBumpsGeneration) {
   SiblingService service(1);
   const std::string a = write_tagged_db("sp_service_gen_a.sibdb", 0.25);
@@ -313,6 +372,47 @@ TEST(ServeService, HotReloadUnderLoadNeverTearsABatch) {
   EXPECT_GT(batches_checked.load(), 0u);
   EXPECT_EQ(service.stats().reloads, 61u);
   EXPECT_EQ(service.snapshot()->generation, 61u);
+}
+
+// Concurrent load() calls (RELOADs on different sp_serve --listen
+// workers) must publish generations in increasing order: the live
+// generation never goes backwards, whichever build finishes first.
+TEST(ServeService, ConcurrentLoadsPublishGenerationsInOrder) {
+  SiblingService service(1);
+  const std::string a = write_tagged_db("sp_service_order_a.sibdb", 0.25);
+  const std::string b = write_tagged_db("sp_service_order_b.sibdb", 0.75);
+  ASSERT_TRUE(service.load(a));
+
+  constexpr int kLoadsPerWriter = 40;
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> decreases{0};
+  std::thread reader([&] {
+    std::uint64_t last = 0;
+    while (!stop.load(std::memory_order_relaxed)) {
+      const std::uint64_t generation = service.snapshot()->generation;
+      if (generation < last) decreases.fetch_add(1, std::memory_order_relaxed);
+      last = generation;
+    }
+  });
+  std::vector<std::thread> writers;
+  for (const std::string* path : {&a, &b}) {
+    writers.emplace_back([&service, path] {
+      for (int i = 0; i < kLoadsPerWriter; ++i) ASSERT_TRUE(service.load(*path));
+    });
+  }
+  for (auto& writer : writers) writer.join();
+  stop.store(true, std::memory_order_relaxed);
+  reader.join();
+
+  EXPECT_EQ(decreases.load(), 0u);
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.reloads, 1u + 2 * kLoadsPerWriter);
+  EXPECT_EQ(stats.generation, stats.reloads);
+  ASSERT_FALSE(stats.generations.empty());
+  for (std::size_t i = 1; i < stats.generations.size(); ++i) {
+    EXPECT_LT(stats.generations[i - 1].generation, stats.generations[i].generation);
+  }
+  EXPECT_EQ(stats.generations.back().generation, stats.generation);
 }
 
 }  // namespace
