@@ -28,7 +28,7 @@ int main() {
         universe.snapshot_at(universe.month_count() - 1), universe.rib());
     const auto pairs = sp::core::detect_sibling_prefixes(corpus);
     const sp::core::SpTunerMs tuner(corpus, {.v4_threshold = 28, .v6_threshold = 96});
-    const auto tuned = tuner.tune_all_parallel(pairs);
+    const auto tuned = tuner.tune_all(pairs, 0);
 
     std::size_t same = 0;
     std::size_t classified = 0;

@@ -24,9 +24,11 @@ cmake --build build -j "$JOBS"
 # thread-bearing test binaries are built — the figure benches and examples
 # don't need instrumentation. The serve suite covers the RCU hot-reload
 # race and the pooled batch lookups; the pipeline suite covers the DAG
-# scheduler (layered-graph stress on a multi-worker pool) and the worker
-# pool's task-queue mode it runs on; the obs suites race sharded metric
-# increments and trace spans against concurrent scrapes/serialization.
+# scheduler's drain loop on the fork-join worker pool (layered-graph
+# stress, N stages at once on N workers) and a real two-worker campaign
+# (PipelineResume.SerialAndDag, byte-identical to the serial schedule);
+# the obs suites race sharded metric increments and trace spans against
+# concurrent scrapes/serialization.
 # The net suites race the epoll workers: pipelined QUERY traffic over
 # several connections against RELOAD hot-swaps, slow-reader
 # backpressure, and the acceptor's inbox handoff. The sketch suites
@@ -42,13 +44,13 @@ cmake --build build -j "$JOBS"
 cmake -B build-tsan -S . -DSP_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS" --target core_detect_parallel_test \
   core_sptuner_parallel_test serve_lookup_test serve_service_test \
-  core_worker_pool_test pipeline_stage_graph_test \
+  core_worker_pool_test pipeline_stage_graph_test pipeline_resume_test \
   obs_metrics_test obs_trace_test net_server_test net_protocol_test \
   sketch_detect_test sketch_signature_test \
   stream_detector_test stream_spdl_test stream_serve_delta_test \
   chaos_scenario_test chaos_soak_test pipeline_signal_test
 (cd build-tsan && ctest --output-on-failure -j "$JOBS" \
-  -R 'DetectParallel|Parallel|Serve|PipelineStageGraph|PipelineSignal|WorkerPool|Obs|NetServer|NetProtocol|Sketch|Signature|Lsh|SynthScale|Stream|Chaos')
+  -R 'DetectParallel|Parallel|Serve|PipelineStageGraph|PipelineResume\.SerialAndDag|PipelineSignal|WorkerPool|Obs|NetServer|NetProtocol|Sketch|Signature|Lsh|SynthScale|Stream|Chaos')
 
 # Stage 3: memory-safety pass over the byte-level parsers under
 # AddressSanitizer + UBSan. The CSV suite includes a seeded fuzz-style

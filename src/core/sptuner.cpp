@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <thread>
+
+#include "core/worker_pool.h"
 
 namespace sp::core {
 
@@ -196,47 +197,21 @@ std::vector<SiblingPair> SpTunerMs::tune_pair(const SiblingPair& pair) const {
   return results;
 }
 
-SpTunerResult SpTunerMs::tune_all(std::span<const SiblingPair> pairs) const {
-  SpTunerResult result;
-  result.input_count = pairs.size();
-  for (const SiblingPair& pair : pairs) {
-    const auto tuned = tune_pair(pair);
-    const bool unchanged =
-        tuned.size() == 1 && tuned.front().v4 == pair.v4 && tuned.front().v6 == pair.v6;
-    if (!unchanged) ++result.changed_count;
-    result.pairs.insert(result.pairs.end(), tuned.begin(), tuned.end());
-  }
-  std::sort(result.pairs.begin(), result.pairs.end());
-  result.pairs.erase(std::unique(result.pairs.begin(), result.pairs.end()),
-                     result.pairs.end());
-  return result;
-}
-
-SpTunerResult SpTunerMs::tune_all_parallel(std::span<const SiblingPair> pairs,
-                                           unsigned thread_count) const {
-  if (thread_count == 0) thread_count = std::max(1u, std::thread::hardware_concurrency());
-  thread_count = std::min<unsigned>(thread_count, 64);
-
-  // Each pair is tuned independently; workers pull indexes from a shared
-  // counter and write into per-pair slots, so no locking is needed beyond
-  // the counter and the merge below is deterministic.
+SpTunerResult SpTunerMs::tune_all(std::span<const SiblingPair> pairs, unsigned threads) const {
+  // Each pair is tuned independently into its own slot: workers pull
+  // indexes from a shared counter, so no locking is needed beyond the
+  // counter, and the merge below is the same for every thread count.
   std::vector<std::vector<SiblingPair>> outputs(pairs.size());
   std::atomic<std::size_t> next{0};
-  {
-    std::vector<std::jthread> workers;
-    workers.reserve(thread_count);
-    for (unsigned t = 0; t < thread_count; ++t) {
-      workers.emplace_back([this, pairs, &outputs, &next] {
-        for (;;) {
-          // sp-lint: atomics-ok(work-stealing index cursor; claims need
-          // no ordering, only uniqueness — the pool join publishes results)
-          const std::size_t index = next.fetch_add(1, std::memory_order_relaxed);
-          if (index >= pairs.size()) return;
-          outputs[index] = tune_pair(pairs[index]);
-        }
-      });
+  WorkerPool(threads).run([this, pairs, &outputs, &next](unsigned) {
+    for (;;) {
+      // sp-lint: atomics-ok(work-stealing index cursor; claims need no
+      // ordering, only uniqueness — the pool join publishes results)
+      const std::size_t index = next.fetch_add(1, std::memory_order_relaxed);
+      if (index >= pairs.size()) return;
+      outputs[index] = tune_pair(pairs[index]);
     }
-  }
+  });
 
   SpTunerResult result;
   result.input_count = pairs.size();

@@ -58,13 +58,11 @@ class SpTunerMs {
   /// carry recomputed Jaccard values.
   [[nodiscard]] std::vector<SiblingPair> tune_pair(const SiblingPair& pair) const;
 
-  /// Refines every pair and merges the outputs.
-  [[nodiscard]] SpTunerResult tune_all(std::span<const SiblingPair> pairs) const;
-
-  /// Same result as tune_all (pairs are independent), computed on
-  /// `thread_count` worker threads; 0 picks the hardware concurrency.
-  [[nodiscard]] SpTunerResult tune_all_parallel(std::span<const SiblingPair> pairs,
-                                                unsigned thread_count = 0) const;
+  /// Refines every pair and merges the outputs. Pairs are independent, so
+  /// `threads` workers (0 picks the hardware concurrency) produce the same
+  /// result as the serial default.
+  [[nodiscard]] SpTunerResult tune_all(std::span<const SiblingPair> pairs,
+                                       unsigned threads = 1) const;
 
  private:
   struct Item {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <utility>
 
 #include "lint/lock_order.h"
 
@@ -12,10 +11,7 @@ namespace {
 constexpr const char* kMutexName = "core.worker_pool.mutex";
 }  // namespace
 
-WorkerPool::WorkerPool(unsigned thread_count)
-    : queue_depth_(obs::MetricsRegistry::global().gauge("worker_pool.queue_depth")),
-      task_wait_us_(obs::MetricsRegistry::global().histogram("worker_pool.task_wait_us")),
-      task_run_us_(obs::MetricsRegistry::global().histogram("worker_pool.task_run_us")) {
+WorkerPool::WorkerPool(unsigned thread_count) {
   if (thread_count == 0) thread_count = std::max(1u, std::thread::hardware_concurrency());
   thread_count_ = std::min(thread_count, 64u);
   // Worker 0 is the calling thread; only 1..thread_count-1 are pool threads.
@@ -33,50 +29,27 @@ WorkerPool::~WorkerPool() {
   }
   work_cv_.notify_all();
   for (std::thread& worker : workers_) worker.join();
-  // With no pool threads nothing ever drained the queue asynchronously —
-  // submit() ran everything inline — so tasks_ is empty here either way.
 }
 
 void WorkerPool::worker_loop(unsigned worker_id) {
   std::uint64_t seen = 0;
   std::unique_lock lock(mutex_);
-  // The lock-order scope must mirror the manual unlock/relock around job
-  // and task bodies exactly, or locks the bodies take would appear to
-  // nest under the pool mutex.
+  // The lock-order scope must mirror the manual unlock/relock around the
+  // job body exactly, or locks the body takes would appear to nest under
+  // the pool mutex.
   std::optional<lint::LockOrderScope> held;
   held.emplace(kMutexName);
   for (;;) {
-    work_cv_.wait(lock, [&] {
-      return stopping_ || generation_ != seen || !tasks_.empty();
-    });
-    // Fork-join jobs first: a run() caller is blocked on every worker
-    // taking one turn, while queued tasks have no waiting caller.
-    if (generation_ != seen) {
-      seen = generation_;
-      const std::function<void(unsigned)>* job = job_;
-      held.reset();
-      lock.unlock();
-      (*job)(worker_id);
-      lock.lock();
-      held.emplace(kMutexName);
-      if (--running_ == 0) done_cv_.notify_all();
-      continue;
-    }
-    if (!tasks_.empty()) {
-      QueuedTask task = std::move(tasks_.front());
-      tasks_.pop_front();
-      ++active_tasks_;
-      held.reset();
-      lock.unlock();
-      run_task(task.fn, task.enqueued);
-      lock.lock();
-      held.emplace(kMutexName);
-      if (--active_tasks_ == 0 && tasks_.empty()) idle_cv_.notify_all();
-      continue;
-    }
-    // Exit only once the queue has drained, so destruction never drops a
-    // submitted task.
-    if (stopping_) return;
+    work_cv_.wait(lock, [&] { return stopping_ || generation_ != seen; });
+    if (generation_ == seen) return;  // stopping, and no job is pending
+    seen = generation_;
+    const std::function<void(unsigned)>* job = job_;
+    held.reset();
+    lock.unlock();
+    (*job)(worker_id);
+    lock.lock();
+    held.emplace(kMutexName);
+    if (--running_ == 0) done_cv_.notify_all();
   }
 }
 
@@ -97,42 +70,6 @@ void WorkerPool::run(const std::function<void(unsigned)>& job) {
   std::unique_lock lock(mutex_);
   [[maybe_unused]] const lint::LockOrderScope held(kMutexName);
   done_cv_.wait(lock, [&] { return running_ == 0; });
-}
-
-void WorkerPool::run_task(std::function<void()>& task,
-                          std::chrono::steady_clock::time_point enqueued) {
-  const auto dequeued = std::chrono::steady_clock::now();
-  queue_depth_.sub();
-  task_wait_us_.record(static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(dequeued - enqueued).count()));
-  task();
-  task_run_us_.record(static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - dequeued)
-          .count()));
-}
-
-void WorkerPool::submit(std::function<void()> task) {
-  queue_depth_.add();
-  if (workers_.empty()) {
-    // Inline execution: the task spends no time queued, but still shows
-    // up in the run-latency histogram like any pooled task.
-    run_task(task, std::chrono::steady_clock::now());
-    return;
-  }
-  {
-    std::lock_guard lock(mutex_);
-    [[maybe_unused]] const lint::LockOrderScope held(kMutexName);
-    tasks_.push_back({std::move(task), std::chrono::steady_clock::now()});
-  }
-  work_cv_.notify_one();
-}
-
-void WorkerPool::wait_idle() {
-  if (workers_.empty()) return;  // inline tasks finished inside submit()
-  std::unique_lock lock(mutex_);
-  [[maybe_unused]] const lint::LockOrderScope held(kMutexName);
-  idle_cv_.wait(lock, [&] { return tasks_.empty() && active_tasks_ == 0; });
 }
 
 }  // namespace sp::core

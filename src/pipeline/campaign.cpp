@@ -9,6 +9,7 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <type_traits>
 #include <unordered_map>
 
 #include "bgp/rib.h"
@@ -32,10 +33,81 @@ namespace sp::pipeline {
 
 namespace {
 
-std::string format_double(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  return buffer;
+/// The one key table of describe_config and config_from_manifest: calls
+/// `visit(key, field)` for every config field that shapes artifact bytes,
+/// in manifest order. `Config` is CampaignConfig or const CampaignConfig.
+template <typename Config, typename Visit>
+void for_each_config_key(Config& config, Visit visit) {
+  auto& s = config.synth;
+  visit("synth.seed", s.seed);
+  visit("synth.scale", s.scale);
+  visit("synth.months", s.months);
+  visit("synth.end_date", s.end_date);
+  visit("synth.organization_count", s.organization_count);
+  visit("synth.eyeball_share", s.eyeball_share);
+  visit("synth.hg_prefix_scale", s.hg_prefix_scale);
+  visit("synth.domains_per_org", s.domains_per_org);
+  visit("synth.ds_share_start", s.ds_share_start);
+  visit("synth.ds_share_end", s.ds_share_end);
+  visit("synth.single_prefix_org_share", s.single_prefix_org_share);
+  visit("synth.structured_org_share", s.structured_org_share);
+  visit("synth.separate_v6_asn_share", s.separate_v6_asn_share);
+  visit("synth.multi_org_domain_share", s.multi_org_domain_share);
+  visit("synth.monitoring_org", s.monitoring_org);
+  visit("synth.monitoring_v4_prefixes", s.monitoring_v4_prefixes);
+  visit("synth.monitoring_v6_prefixes", s.monitoring_v6_prefixes);
+  visit("synth.always_visible_share", s.always_visible_share);
+  visit("synth.once_visible_share", s.once_visible_share);
+  visit("synth.intermittent_visibility", s.intermittent_visibility);
+  visit("synth.v4_prefix_change_share", s.v4_prefix_change_share);
+  visit("synth.v6_prefix_change_share", s.v6_prefix_change_share);
+  visit("synth.address_change_share", s.address_change_share);
+  visit("synth.rpki_adopter_share", s.rpki_adopter_share);
+  visit("synth.rpki_wrong_origin_share", s.rpki_wrong_origin_share);
+  visit("synth.rpki_short_maxlen_share", s.rpki_short_maxlen_share);
+  visit("synth.scan_silent_org_share", s.scan_silent_org_share);
+  visit("synth.scan_port_flip_probability", s.scan_port_flip_probability);
+  visit("synth.probe_count", s.probe_count);
+  visit("synth.probe_full_coverage_share", s.probe_full_coverage_share);
+  visit("synth.probe_partial_coverage_share", s.probe_partial_coverage_share);
+  visit("synth.probe_same_group_share", s.probe_same_group_share);
+  visit("v4_threshold", config.v4_threshold);
+  visit("v6_threshold", config.v6_threshold);
+}
+
+template <typename T>
+std::string format_value(const T& value) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return value ? "true" : "false";
+  } else if constexpr (std::is_same_v<T, double>) {
+    char buffer[64];
+    std::snprintf(buffer, sizeof buffer, "%.17g", value);
+    return buffer;
+  } else if constexpr (std::is_same_v<T, Date>) {
+    return value.to_string();
+  } else {
+    return std::to_string(value);
+  }
+}
+
+/// Parses a manifest value back into its field; a malformed date leaves
+/// the field as it was.
+template <typename T>
+void parse_value(const std::string& text, T& out) {
+  if constexpr (std::is_same_v<T, bool>) {
+    out = text == "true";
+  } else if constexpr (std::is_same_v<T, double>) {
+    out = std::strtod(text.c_str(), nullptr);
+  } else if constexpr (std::is_same_v<T, Date>) {
+    int year = 0, month = 0, day = 0;
+    if (std::sscanf(text.c_str(), "%d-%d-%d", &year, &month, &day) == 3) {
+      out = Date{year, month, day};
+    }
+  } else if constexpr (std::is_signed_v<T>) {
+    out = static_cast<T>(std::strtoll(text.c_str(), nullptr, 10));
+  } else {
+    out = static_cast<T>(std::strtoull(text.c_str(), nullptr, 10));
+  }
 }
 
 bool mkdir_p(const std::string& dir, std::string* error) {
@@ -112,7 +184,6 @@ class Runner {
   [[nodiscard]] std::string snapshot_name(int m) const { return "snapshot-" + ds(m) + ".csv"; }
   [[nodiscard]] std::string corpus_name(int m) const { return "corpus-" + ds(m) + ".txt"; }
   [[nodiscard]] std::string pairs_name(int m) const { return "pairs-" + ds(m) + ".csv"; }
-  [[nodiscard]] std::string tuned_name(int m) const { return "tuned-" + ds(m) + ".csv"; }
   [[nodiscard]] std::string list_name(int m) const { return "siblings-" + ds(m) + ".csv"; }
   [[nodiscard]] std::string sibdb_name(int m) const { return "siblings-" + ds(m) + ".sibdb"; }
   [[nodiscard]] std::string diff_name(int m) const { return "diff-" + ds(m) + ".csv"; }
@@ -372,7 +443,7 @@ void Runner::build_graph() {
       fnv1a64_mix(stream::kSpdlVersion, fnv1a64_mix(serve::kSibDbVersion, kFnvBasis));
 
   std::vector<StageId> evolve_ids(months), export_ids(months), corpus_ids(months),
-      detect_ids(months), tuner_ids(months), publish_ids(months), sibdb_ids(months);
+      detect_ids(months), tuner_ids(months), sibdb_ids(months);
   std::vector<StageId> diff_ids;
 
   for (int m = 0; m < months; ++m) {
@@ -453,7 +524,7 @@ void Runner::build_graph() {
           const auto corpus = corpus_for(m, error);
           if (!corpus) return false;
           const std::lock_guard<std::mutex> lock(stream_mutex_);
-          // Held across the detector's pool submits (rank 40 > 37): the
+          // Held across the detector's pool runs (rank 40 > 37): the
           // runtime checker sees the ordered pair on every stream month.
           [[maybe_unused]] const lint::LockOrderScope held("pipeline.campaign.stream_mutex");
           try {
@@ -473,8 +544,10 @@ void Runner::build_graph() {
           return write_pairs(pairs_name(m), stream_.pairs(), error);
         });
 
+    // sptuner[m] writes the month's published list, which the sibdb, diff
+    // and longitudinal stages read.
     tuner_ids[m] = add_stage(
-        "sptuner[" + d + "]", {detect_ids[m]}, tuner_hash, {tuned_name(m)},
+        "sptuner[" + d + "]", {detect_ids[m]}, tuner_hash, {list_name(m)},
         [this, m](std::string* error) {
           const auto corpus = corpus_for(m, error);
           if (!corpus) return false;
@@ -482,7 +555,7 @@ void Runner::build_graph() {
           if (!pairs) return false;
           const core::SpTunerMs tuner(*corpus,
                                       {config_.v4_threshold, config_.v6_threshold});
-          const bool ok = write_pairs(tuned_name(m), tuner.tune_all(*pairs).pairs, error);
+          const bool ok = write_pairs(list_name(m), tuner.tune_all(*pairs).pairs, error);
           // Last corpus consumer of the month: release the in-memory
           // corpus so resident memory tracks months in flight.
           const std::lock_guard<std::mutex> lock(
@@ -491,16 +564,8 @@ void Runner::build_graph() {
           return ok;
         });
 
-    publish_ids[m] = add_stage(
-        "publish[" + d + "]", {tuner_ids[m]}, kFnvBasis, {list_name(m)},
-        [this, m](std::string* error) {
-          const auto pairs = read_pairs(tuned_name(m), error);
-          if (!pairs) return false;
-          return write_pairs(list_name(m), *pairs, error);
-        });
-
     sibdb_ids[m] = add_stage(
-        "sibdb[" + d + "]", {publish_ids[m]}, sibdb_hash, {sibdb_name(m)},
+        "sibdb[" + d + "]", {tuner_ids[m]}, sibdb_hash, {sibdb_name(m)},
         [this, m](std::string* error) {
           const auto pairs = read_pairs(list_name(m), error);
           if (!pairs) return false;
@@ -558,7 +623,7 @@ void Runner::build_graph() {
                 });
 
       diff_ids.push_back(add_stage(
-          "diff[" + ds(m - 1) + ".." + d + "]", {publish_ids[m - 1], publish_ids[m]},
+          "diff[" + ds(m - 1) + ".." + d + "]", {tuner_ids[m - 1], tuner_ids[m]},
           kFnvBasis, {diff_name(m)}, [this, m](std::string* error) {
             const auto old_list = read_pairs(list_name(m - 1), error);
             if (!old_list) return false;
@@ -575,7 +640,7 @@ void Runner::build_graph() {
     }
   }
 
-  std::vector<StageId> fan_in = publish_ids;
+  std::vector<StageId> fan_in = tuner_ids;
   fan_in.insert(fan_in.end(), diff_ids.begin(), diff_ids.end());
   add_stage("longitudinal", std::move(fan_in), kFnvBasis, {"longitudinal.csv"},
             [this, months](std::string* error) {
@@ -655,43 +720,9 @@ CampaignReport Runner::run() {
 
 std::vector<std::pair<std::string, std::string>> describe_config(const CampaignConfig& config) {
   std::vector<std::pair<std::string, std::string>> kvs;
-  const synth::SynthConfig& s = config.synth;
-  const auto put = [&kvs](const char* key, std::string value) {
-    kvs.emplace_back(key, std::move(value));
-  };
-  put("synth.seed", std::to_string(s.seed));
-  put("synth.months", std::to_string(s.months));
-  put("synth.end_date", s.end_date.to_string());
-  put("synth.organization_count", std::to_string(s.organization_count));
-  put("synth.eyeball_share", format_double(s.eyeball_share));
-  put("synth.hg_prefix_scale", format_double(s.hg_prefix_scale));
-  put("synth.domains_per_org", format_double(s.domains_per_org));
-  put("synth.ds_share_start", format_double(s.ds_share_start));
-  put("synth.ds_share_end", format_double(s.ds_share_end));
-  put("synth.single_prefix_org_share", format_double(s.single_prefix_org_share));
-  put("synth.structured_org_share", format_double(s.structured_org_share));
-  put("synth.separate_v6_asn_share", format_double(s.separate_v6_asn_share));
-  put("synth.multi_org_domain_share", format_double(s.multi_org_domain_share));
-  put("synth.monitoring_org", s.monitoring_org ? "true" : "false");
-  put("synth.monitoring_v4_prefixes", std::to_string(s.monitoring_v4_prefixes));
-  put("synth.monitoring_v6_prefixes", std::to_string(s.monitoring_v6_prefixes));
-  put("synth.always_visible_share", format_double(s.always_visible_share));
-  put("synth.once_visible_share", format_double(s.once_visible_share));
-  put("synth.intermittent_visibility", format_double(s.intermittent_visibility));
-  put("synth.v4_prefix_change_share", format_double(s.v4_prefix_change_share));
-  put("synth.v6_prefix_change_share", format_double(s.v6_prefix_change_share));
-  put("synth.address_change_share", format_double(s.address_change_share));
-  put("synth.rpki_adopter_share", format_double(s.rpki_adopter_share));
-  put("synth.rpki_wrong_origin_share", format_double(s.rpki_wrong_origin_share));
-  put("synth.rpki_short_maxlen_share", format_double(s.rpki_short_maxlen_share));
-  put("synth.scan_silent_org_share", format_double(s.scan_silent_org_share));
-  put("synth.scan_port_flip_probability", format_double(s.scan_port_flip_probability));
-  put("synth.probe_count", std::to_string(s.probe_count));
-  put("synth.probe_full_coverage_share", format_double(s.probe_full_coverage_share));
-  put("synth.probe_partial_coverage_share", format_double(s.probe_partial_coverage_share));
-  put("synth.probe_same_group_share", format_double(s.probe_same_group_share));
-  put("v4_threshold", std::to_string(config.v4_threshold));
-  put("v6_threshold", std::to_string(config.v6_threshold));
+  for_each_config_key(config, [&kvs](const char* key, const auto& field) {
+    kvs.emplace_back(key, format_value(field));
+  });
   return kvs;
 }
 
@@ -700,67 +731,10 @@ CampaignConfig config_from_manifest(const RunManifest& manifest, std::string out
   CampaignConfig config;
   config.out_dir = std::move(out_dir);
   config.threads = threads;
-  synth::SynthConfig& s = config.synth;
-
-  const auto get = [&manifest](const char* key) { return manifest.config_value(key); };
-  const auto get_u64 = [&get](const char* key, std::uint64_t& out) {
-    const std::string value = get(key);
-    if (!value.empty()) out = std::strtoull(value.c_str(), nullptr, 10);
-  };
-  const auto get_int = [&get](const char* key, int& out) {
-    const std::string value = get(key);
-    if (!value.empty()) out = static_cast<int>(std::strtol(value.c_str(), nullptr, 10));
-  };
-  const auto get_unsigned = [&get](const char* key, unsigned& out) {
-    const std::string value = get(key);
-    if (!value.empty()) out = static_cast<unsigned>(std::strtoul(value.c_str(), nullptr, 10));
-  };
-  const auto get_double = [&get](const char* key, double& out) {
-    const std::string value = get(key);
-    if (!value.empty()) out = std::strtod(value.c_str(), nullptr);
-  };
-  const auto get_bool = [&get](const char* key, bool& out) {
-    const std::string value = get(key);
-    if (!value.empty()) out = value == "true";
-  };
-
-  get_u64("synth.seed", s.seed);
-  get_int("synth.months", s.months);
-  const std::string end_date = get("synth.end_date");
-  int year = 0, month = 0, day = 0;
-  if (std::sscanf(end_date.c_str(), "%d-%d-%d", &year, &month, &day) == 3) {
-    s.end_date = Date{year, month, day};
-  }
-  get_int("synth.organization_count", s.organization_count);
-  get_double("synth.eyeball_share", s.eyeball_share);
-  get_double("synth.hg_prefix_scale", s.hg_prefix_scale);
-  get_double("synth.domains_per_org", s.domains_per_org);
-  get_double("synth.ds_share_start", s.ds_share_start);
-  get_double("synth.ds_share_end", s.ds_share_end);
-  get_double("synth.single_prefix_org_share", s.single_prefix_org_share);
-  get_double("synth.structured_org_share", s.structured_org_share);
-  get_double("synth.separate_v6_asn_share", s.separate_v6_asn_share);
-  get_double("synth.multi_org_domain_share", s.multi_org_domain_share);
-  get_bool("synth.monitoring_org", s.monitoring_org);
-  get_int("synth.monitoring_v4_prefixes", s.monitoring_v4_prefixes);
-  get_int("synth.monitoring_v6_prefixes", s.monitoring_v6_prefixes);
-  get_double("synth.always_visible_share", s.always_visible_share);
-  get_double("synth.once_visible_share", s.once_visible_share);
-  get_double("synth.intermittent_visibility", s.intermittent_visibility);
-  get_double("synth.v4_prefix_change_share", s.v4_prefix_change_share);
-  get_double("synth.v6_prefix_change_share", s.v6_prefix_change_share);
-  get_double("synth.address_change_share", s.address_change_share);
-  get_double("synth.rpki_adopter_share", s.rpki_adopter_share);
-  get_double("synth.rpki_wrong_origin_share", s.rpki_wrong_origin_share);
-  get_double("synth.rpki_short_maxlen_share", s.rpki_short_maxlen_share);
-  get_double("synth.scan_silent_org_share", s.scan_silent_org_share);
-  get_double("synth.scan_port_flip_probability", s.scan_port_flip_probability);
-  get_int("synth.probe_count", s.probe_count);
-  get_double("synth.probe_full_coverage_share", s.probe_full_coverage_share);
-  get_double("synth.probe_partial_coverage_share", s.probe_partial_coverage_share);
-  get_double("synth.probe_same_group_share", s.probe_same_group_share);
-  get_unsigned("v4_threshold", config.v4_threshold);
-  get_unsigned("v6_threshold", config.v6_threshold);
+  for_each_config_key(config, [&manifest](const char* key, auto& field) {
+    const std::string value = manifest.config_value(key);
+    if (!value.empty()) parse_value(value, field);
+  });
   return config;
 }
 

@@ -16,16 +16,20 @@
 //               month's corpus delta to the warm sp::stream detector
 //               (month-0 or a resume gap: a full init). Depends on
 //               detect[m-1]: the second cross-month chain.
-//   sptuner[d]  SP-Tuner-MS refinement  → tuned-<d>.csv
-//   publish[d]  canonical published list → siblings-<d>.csv
+//   sptuner[d]  SP-Tuner-MS refinement → the published list
+//               siblings-<d>.csv
 //   sibdb[d]    binary serving snapshot → siblings-<d>.sibdb (directly
 //               RELOAD-able by sp_serve)
+//   sibdelta[d',d]  patch between consecutive .sibdb snapshots →
+//               delta-<d>.spdl (sp_serve RELOADs it onto the d' snapshot)
 //   diff[d',d]  release diff of consecutive published lists → diff-<d>.csv
 //   longitudinal  fan-in over every published list + diff → longitudinal.csv
 //
 // Months are independent except for the evolve and detect chains, so a
 // multi-worker pool pipelines them: month 3 can be detecting while month
-// 5 exports and month 2's checkpoints fsync.
+// 5 exports and month 2's checkpoints fsync. Workers take the ready stage
+// added first, which is the earliest month's, so a month finishes and
+// releases its corpus before later months pile up.
 //
 // Checkpointing (see checkpoint.h): every stage's inputs hash chains the
 // stage name, its config component (synth config for evolve/export,
@@ -66,8 +70,9 @@ struct CampaignConfig {
   /// SP-Tuner thresholds (the paper's /28 and /96 defaults).
   unsigned v4_threshold = 28;
   unsigned v6_threshold = 96;
-  /// DAG worker pool size; 0 picks the hardware concurrency, 1 runs the
-  /// graph serially (the bench baseline).
+  /// How many stages run at once: the DAG worker pool size. 0 picks the
+  /// hardware concurrency; 1 runs the stages serially, month by month in
+  /// the order they were added (the bench baseline).
   unsigned threads = 1;
   /// Run directory: artifacts + manifest.json (created if missing).
   std::string out_dir;

@@ -12,9 +12,7 @@
 namespace sp::pipeline {
 
 namespace {
-
-long current_peak_rss_kb() { return obs::peak_rss_kb(); }
-
+constexpr const char* kMutexName = "pipeline.stage_graph.mutex";
 }  // namespace
 
 std::string_view to_string(StageStatus status) noexcept {
@@ -123,72 +121,74 @@ void StageGraph::finish(StageId id, StageStatus status, std::string error, doubl
       }
     }
   }
-  if (finished_ == stages_.size()) done_cv_.notify_all();
 }
 
-void StageGraph::execute(StageId id) {
-  // Graceful stop: a stage may reach the pool queue before the stop flag
-  // flips and execute after — skip its body here so "stop" means "no new
-  // stage work starts", regardless of queue depth.
-  if (stop_requested()) {
-    finalize(id, StageStatus::Skipped, "stop requested", 0.0, 0);
-    return;
-  }
-  const auto start = std::chrono::steady_clock::now();
-  // One trace span per stage execution, on the worker thread that ran it —
-  // the Perfetto view of the DAG schedule (cached stages are near-zero
-  // slivers, the evolve chain is the critical path).
-  const obs::ScopedSpan span(stages_[id].name, "stage");
-  const StageOutcome outcome = stages_[id].fn ? stages_[id].fn() : StageOutcome::success();
-  const double wall_ms =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
-          .count();
-  const long rss_kb = current_peak_rss_kb();
-
-  const StageStatus status = !outcome.ok          ? StageStatus::Failed
-                             : outcome.cached     ? StageStatus::Cached
-                                                  : StageStatus::Done;
-  finalize(id, status, outcome.error, wall_ms, rss_kb);
-}
-
-void StageGraph::finalize(StageId id, StageStatus status, std::string error, double wall_ms,
-                          long rss_kb) {
-  std::vector<StageId> ready;
-  std::vector<StageId> finalized;
-  std::vector<StageResult> observed;
-  {
-    std::lock_guard lock(mutex_);
-    [[maybe_unused]] const lint::LockOrderScope held("pipeline.stage_graph.mutex");
-    finish(id, status, std::move(error), wall_ms, rss_kb, ready, finalized);
-    observed.reserve(finalized.size());
-    for (const StageId finished_id : finalized) observed.push_back(results_[finished_id]);
-  }
-  if (observer_) {
-    std::lock_guard lock(observer_mutex_);
-    [[maybe_unused]] const lint::LockOrderScope held("pipeline.stage_graph.observer_mutex");
-    for (const StageResult& result : observed) observer_(result);
-  }
-  dispatch_ready(ready);
-}
-
-void StageGraph::dispatch_ready(std::vector<StageId>& ready) {
-  for (const StageId id : ready) {
-    if (stop_requested()) {
-      // Finalize as Skipped without dispatching. finish() dooms the
-      // stage's descendants itself, so the recursion through finalize →
-      // dispatch_ready stays shallow: skipped stages surface no new
-      // ready work.
-      finalize(id, StageStatus::Skipped, "stop requested", 0.0, 0);
-      continue;
+void StageGraph::drain(const obs::Histogram& stage_wait_us) {
+  std::vector<StageId> newly_ready;
+  for (;;) {
+    StageId id = 0;
+    bool stop = false;
+    Clock::time_point ready_at;
+    {
+      std::unique_lock lock(mutex_);
+      [[maybe_unused]] const lint::LockOrderScope held(kMutexName);
+      // The previous stage's dependents become ready only here, after its
+      // observers ran, so the manifest records every stage before any of
+      // its dependents can complete.
+      const Clock::time_point now = Clock::now();
+      for (const StageId ready_id : newly_ready) {
+        stages_[ready_id].ready_at = now;
+        ready_.push(ready_id);
+      }
+      if (!newly_ready.empty()) ready_cv_.notify_all();
+      newly_ready.clear();
+      ready_cv_.wait(lock, [&] { return !ready_.empty() || finished_ == stages_.size(); });
+      if (ready_.empty()) return;  // every stage is terminal
+      id = ready_.top();
+      ready_.pop();
+      // Graceful stop: "stop" means no new stage body starts, however many
+      // stages are ready.
+      stop = stop_requested();
+      if (!stop) results_[id].status = StageStatus::Running;
+      ready_at = stages_[id].ready_at;
     }
+
+    StageStatus status = StageStatus::Skipped;
+    std::string error = "stop requested";
+    double wall_ms = 0.0;
+    long rss_kb = 0;
+    if (!stop) {
+      const Clock::time_point start = Clock::now();
+      stage_wait_us.record(static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(start - ready_at).count()));
+      // One trace span per stage execution, on the worker thread that ran
+      // it — the Perfetto view of the DAG schedule (cached stages are
+      // near-zero slivers, the evolve chain is the critical path).
+      const obs::ScopedSpan span(stages_[id].name, "stage");
+      StageOutcome outcome = stages_[id].fn ? stages_[id].fn() : StageOutcome::success();
+      wall_ms = std::chrono::duration<double, std::milli>(Clock::now() - start).count();
+      rss_kb = obs::peak_rss_kb();
+      status = !outcome.ok      ? StageStatus::Failed
+               : outcome.cached ? StageStatus::Cached
+                                : StageStatus::Done;
+      error = std::move(outcome.error);
+    }
+
+    std::vector<StageResult> observed;
     {
       std::lock_guard lock(mutex_);
-      [[maybe_unused]] const lint::LockOrderScope held("pipeline.stage_graph.mutex");
-      results_[id].status = StageStatus::Running;
+      [[maybe_unused]] const lint::LockOrderScope held(kMutexName);
+      std::vector<StageId> finalized;
+      finish(id, status, std::move(error), wall_ms, rss_kb, newly_ready, finalized);
+      if (finished_ == stages_.size()) ready_cv_.notify_all();
+      observed.reserve(finalized.size());
+      for (const StageId finished_id : finalized) observed.push_back(results_[finished_id]);
     }
-    // With a 1-thread pool submit() executes inline: the whole graph runs
-    // serially, in a valid topological order, on the calling thread.
-    pool_->submit([this, id] { execute(id); });
+    if (observer_) {
+      std::lock_guard lock(observer_mutex_);
+      [[maybe_unused]] const lint::LockOrderScope held("pipeline.stage_graph.observer_mutex");
+      for (const StageResult& result : observed) observer_(result);
+    }
   }
 }
 
@@ -198,33 +198,24 @@ bool StageGraph::run(core::WorkerPool& pool) {
   verify_acyclic();
 
   results_.assign(stages_.size(), {});
-  for (StageId id = 0; id < stages_.size(); ++id) results_[id].name = stages_[id].name;
-
-  pool_ = &pool;
-  std::vector<StageId> ready;
-  {
-    std::lock_guard lock(mutex_);
-    [[maybe_unused]] const lint::LockOrderScope held("pipeline.stage_graph.mutex");
-    for (StageId id = 0; id < stages_.size(); ++id) {
-      Stage& stage = stages_[id];
-      stage.waiting = stage.deps.size();
-      for (const StageId dep : stage.deps) stages_[dep].dependents.push_back(id);
-    }
-    for (StageId id = 0; id < stages_.size(); ++id) {
-      if (stages_[id].waiting == 0) ready.push_back(id);
+  const Clock::time_point now = Clock::now();
+  for (StageId id = 0; id < stages_.size(); ++id) {
+    results_[id].name = stages_[id].name;
+    Stage& stage = stages_[id];
+    stage.waiting = stage.deps.size();
+    for (const StageId dep : stage.deps) stages_[dep].dependents.push_back(id);
+    if (stage.waiting == 0) {
+      stage.ready_at = now;
+      ready_.push(id);
     }
   }
-  dispatch_ready(ready);
 
-  {
-    std::unique_lock lock(mutex_);
-    [[maybe_unused]] const lint::LockOrderScope held("pipeline.stage_graph.mutex");
-    done_cv_.wait(lock, [&] { return finished_ == stages_.size(); });
-  }
-  // The worker that finalized the last stage may still be inside its
-  // observer callback; drain the pool so observers (and any state they
-  // write, like the manifest) are quiesced before run() returns.
-  pool.wait_idle();
+  // Every worker, the calling thread included, drains the graph; run()
+  // returns once all of them have — observers included.
+  const obs::Histogram stage_wait_us =
+      obs::MetricsRegistry::global().histogram("pipeline.stage_wait_us");
+  pool.run([this, &stage_wait_us](unsigned) { drain(stage_wait_us); });
+
   for (const StageResult& result : results_) {
     if (result.status != StageStatus::Done && result.status != StageStatus::Cached) {
       return false;

@@ -1,13 +1,16 @@
-// StageGraph — a deterministic DAG scheduler over core::WorkerPool's
-// task-queue mode.
+// StageGraph — a deterministic DAG scheduler over core::WorkerPool.
 //
-// Stages are added with explicit dependency edges; run() dispatches every
-// ready stage (all parents Done/Cached) onto the pool, so independent
-// stages — different months of a campaign, the two sides of a diamond —
-// execute concurrently while chains stay ordered. With a 1-thread pool
-// submit() runs inline and the whole graph executes serially in a valid
-// topological order: the serial baseline and the parallel schedule run
-// the exact same stage bodies.
+// Stages are added with explicit dependency edges. run() issues one
+// fork-join run() on the pool, and every worker — the calling thread
+// included — drains the graph: it takes the ready stage (all parents
+// Done/Cached) with the lowest id, executes it, and repeats until every
+// stage is terminal. Independent stages — different months of a
+// campaign, the two sides of a diamond — therefore execute concurrently
+// on up to thread_count workers while chains stay ordered. A 1-thread
+// pool runs the stages exactly in the order they were added (the
+// serial baseline runs the exact same stage bodies), and preferring low
+// ids keeps a multi-worker schedule close to that order, so work added
+// early (a campaign's early months) finishes before later work piles up.
 //
 // Failure containment: a stage returning !ok is Failed; every transitive
 // dependent is Skipped (never executed), while independent branches keep
@@ -22,32 +25,35 @@
 // and the process peak RSS (getrusage ru_maxrss, in KB) sampled at stage
 // completion — ru_maxrss is a process-wide high-water mark, so per-stage
 // values are "peak so far", monotone along completion order; the maximum
-// across stages is the campaign's true peak.
+// across stages is the campaign's true peak. The wait from a stage
+// becoming ready to a worker starting it lands in the process-wide
+// `pipeline.stage_wait_us` histogram.
 //
 // Stage bodies must not throw (the pool terminates on escaping
-// exceptions) and must not issue fork-join run() calls on the pool that
-// is executing them (deadlock; see worker_pool.h). Inner parallelism
-// belongs to a different pool or stays serial — campaign stages run the
-// serial detection engine and let cross-month concurrency come from the
-// DAG.
+// exceptions) and must not call run() on the pool that is executing
+// them. Inner parallelism belongs to a pool of its own — the campaign's
+// detect stages scan on the stream detector's pool.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <queue>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "core/worker_pool.h"
+#include "obs/metrics.h"
 
 namespace sp::pipeline {
 
 enum class StageStatus : std::uint8_t {
   Pending,   // not yet scheduled
-  Running,   // dispatched to the pool
+  Running,   // taken by a worker
   Done,      // body ran and succeeded
   Cached,    // body found a valid checkpoint and did no work
   Failed,    // body reported an error
@@ -89,18 +95,19 @@ class StageGraph {
 
   [[nodiscard]] std::size_t size() const noexcept { return stages_.size(); }
 
-  /// Called (from the executing worker thread, serialized by the graph
-  /// lock) each time a stage reaches a terminal status — the CLI progress
-  /// line and the manifest incremental save hook.
+  /// Called (from the executing worker thread, serialized, off the graph
+  /// lock) each time a stage reaches a terminal status, before any of its
+  /// dependents can start — the CLI progress line and the manifest
+  /// incremental save hook.
   void set_observer(std::function<void(const StageResult&)> observer);
 
   /// Cooperative stop (the SIGINT/SIGTERM graceful-stop hook): once
   /// `*stop` reads true, stages that have not started are finalized as
-  /// Skipped instead of executing — the in-flight stage finishes
-  /// normally, observers still fire for every finalized stage (so the
-  /// manifest records the partial run), and run() returns false. Skipped
-  /// is exactly what resume re-runs, so an interrupted manifest resumes
-  /// to the identical artifacts. The pointee must outlive run().
+  /// Skipped instead of executing — in-flight stages finish normally,
+  /// observers still fire for every finalized stage (so the manifest
+  /// records the partial run), and run() returns false. Skipped is
+  /// exactly what resume re-runs, so an interrupted manifest resumes to
+  /// the identical artifacts. The pointee must outlive run().
   void set_stop_flag(const std::atomic<bool>* stop) noexcept { stop_ = stop; }
 
   /// Executes the whole graph on `pool`; returns true when every stage is
@@ -111,6 +118,8 @@ class StageGraph {
   [[nodiscard]] const std::vector<StageResult>& results() const noexcept { return results_; }
 
  private:
+  using Clock = std::chrono::steady_clock;
+
   struct Stage {
     std::string name;
     StageFn fn;
@@ -119,21 +128,20 @@ class StageGraph {
     std::size_t waiting = 0;   // unfinished deps
     bool doomed = false;       // some transitive dep failed
     std::string doom_reason;   // which dependency doomed it
+    Clock::time_point ready_at;
   };
 
   void verify_acyclic() const;
   /// Marks stage `id` terminal, propagates readiness/doom to dependents.
-  /// Appends every stage finalized by this completion (the stage itself
-  /// plus Skipped descendants) to `finalized`. Caller holds `mutex_`.
+  /// Appends dependents that became ready to `newly_ready` and every stage
+  /// finalized by this completion (the stage itself plus Skipped
+  /// descendants) to `finalized`. Caller holds `mutex_`.
   void finish(StageId id, StageStatus status, std::string error, double wall_ms,
               long rss_kb, std::vector<StageId>& newly_ready,
               std::vector<StageId>& finalized);
-  void execute(StageId id);
-  void dispatch_ready(std::vector<StageId>& ready);
-  /// finish() + observer callbacks + dispatch of newly ready stages — the
-  /// shared tail of execute() and the stop-flag short-circuit paths.
-  void finalize(StageId id, StageStatus status, std::string error, double wall_ms,
-                long rss_kb);
+  /// One worker's share of run(): take the lowest ready id, execute it,
+  /// repeat until every stage is terminal.
+  void drain(const obs::Histogram& stage_wait_us);
   [[nodiscard]] bool stop_requested() const noexcept {
     return stop_ != nullptr && stop_->load();
   }
@@ -142,15 +150,16 @@ class StageGraph {
   std::vector<StageResult> results_;
   std::function<void(const StageResult&)> observer_;
 
-  core::WorkerPool* pool_ = nullptr;
   const std::atomic<bool>* stop_ = nullptr;
-  // lock-order: 30 pipeline.stage_graph.mutex (graph state; released
-  // before observer callbacks and before dispatching onto the pool)
+  // lock-order: 30 pipeline.stage_graph.mutex (graph state; a worker
+  // takes it only between stages and releases it before executing a
+  // stage body and before observer callbacks)
   std::mutex mutex_;
   // lock-order: 31 pipeline.stage_graph.observer_mutex (observer calls
   // serialized, off the graph lock; leaf)
   std::mutex observer_mutex_;
-  std::condition_variable done_cv_;
+  std::condition_variable ready_cv_;  // a stage became ready, or the graph finished
+  std::priority_queue<StageId, std::vector<StageId>, std::greater<>> ready_;
   std::size_t finished_ = 0;
   bool ran_ = false;
 };

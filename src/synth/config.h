@@ -107,6 +107,8 @@ struct SynthConfig {
   double probe_partial_coverage_share = 0.32;
   /// Among fully covered probes, share placed inside one detected pair.
   double probe_same_group_share = 0.96;
+
+  friend bool operator==(const SynthConfig&, const SynthConfig&) = default;
 };
 
 }  // namespace sp::synth

@@ -1,5 +1,5 @@
-// Tests for the multi-threaded SP-Tuner: exact agreement with the serial
-// implementation on the synthetic workload, at several thread counts.
+// Tests for the multi-threaded SP-Tuner: tune_all on several workers
+// agrees exactly with the serial default on the synthetic workload.
 #include <gtest/gtest.h>
 
 #include "core/sptuner.h"
@@ -25,7 +25,7 @@ TEST_P(SpTunerParallel, MatchesSerialExactly) {
 
   const SpTunerMs tuner(corpus, {.v4_threshold = 28, .v6_threshold = 96});
   const auto serial = tuner.tune_all(pairs);
-  const auto parallel = tuner.tune_all_parallel(pairs, GetParam());
+  const auto parallel = tuner.tune_all(pairs, GetParam());
 
   EXPECT_EQ(parallel.input_count, serial.input_count);
   EXPECT_EQ(parallel.changed_count, serial.changed_count);
@@ -45,7 +45,7 @@ TEST(SpTunerParallelEdge, EmptyInput) {
   const synth::SyntheticInternet universe(config);
   const auto corpus = DualStackCorpus::build(universe.snapshot_at(0), universe.rib());
   const SpTunerMs tuner(corpus, {});
-  const auto result = tuner.tune_all_parallel({}, 4);
+  const auto result = tuner.tune_all({}, 4);
   EXPECT_EQ(result.input_count, 0u);
   EXPECT_TRUE(result.pairs.empty());
 }

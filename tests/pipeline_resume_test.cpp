@@ -104,7 +104,7 @@ TEST(PipelineResume, CrashAfterAnyCompletedPrefixResumesToIdenticalRun) {
   ASSERT_TRUE(full_report.ok) << full_report.error;
   const RunManifest full_manifest = load_manifest(dir_full);
   const std::size_t stage_count = full_manifest.stages.size();
-  ASSERT_GT(stage_count, 20u);  // 3 months × 7 stages + 2 diffs + longitudinal
+  ASSERT_GT(stage_count, 20u);  // 3 months × 6 stages + 2 sibdeltas + 2 diffs + longitudinal
 
   // Kill points across the schedule: right after the first stage, mid-run,
   // and just before the fan-in.
@@ -180,6 +180,58 @@ TEST(PipelineResume, CorruptedArtifactRerunsExactlyThatStage) {
   const RunManifest after = load_manifest(dir);
   expect_same_hashes(before, after);
   EXPECT_EQ(after.find(detect->name)->status, "done");
+}
+
+// resume rebuilds the campaign from the manifest's config block, so every
+// field that shapes artifact bytes must survive describe_config →
+// config_from_manifest. Every SynthConfig field is set off its default.
+TEST(PipelineManifest, ConfigRoundTripRestoresEveryField) {
+  CampaignConfig config;
+  config.synth = {.seed = 7,
+                  .scale = 3,
+                  .months = 5,
+                  .end_date = Date{2023, 3, 15},
+                  .organization_count = 77,
+                  .eyeball_share = 0.3,
+                  .hg_prefix_scale = 0.07,
+                  .domains_per_org = 11.5,
+                  .ds_share_start = 0.2,
+                  .ds_share_end = 0.4,
+                  .single_prefix_org_share = 0.3,
+                  .structured_org_share = 0.6,
+                  .separate_v6_asn_share = 0.25,
+                  .multi_org_domain_share = 0.1,
+                  .monitoring_org = false,
+                  .monitoring_v4_prefixes = 33,
+                  .monitoring_v6_prefixes = 12,
+                  .always_visible_share = 0.5,
+                  .once_visible_share = 0.1,
+                  .intermittent_visibility = 0.6,
+                  .v4_prefix_change_share = 0.11,
+                  .v6_prefix_change_share = 0.07,
+                  .address_change_share = 0.09,
+                  .rpki_adopter_share = 0.5,
+                  .rpki_wrong_origin_share = 0.05,
+                  .rpki_short_maxlen_share = 0.4,
+                  .scan_silent_org_share = 0.2,
+                  .scan_port_flip_probability = 0.2,
+                  .probe_count = 123,
+                  .probe_full_coverage_share = 0.5,
+                  .probe_partial_coverage_share = 0.25,
+                  .probe_same_group_share = 0.9};
+  config.v4_threshold = 30;
+  config.v6_threshold = 112;
+
+  RunManifest manifest;
+  manifest.config = describe_config(config);
+  const CampaignConfig restored = config_from_manifest(manifest, "restored", 3);
+  EXPECT_EQ(describe_config(restored), manifest.config);
+  EXPECT_EQ(restored.synth.scale, 3);
+  EXPECT_TRUE(restored.synth == config.synth);
+  EXPECT_EQ(restored.v4_threshold, 30u);
+  EXPECT_EQ(restored.v6_threshold, 112u);
+  EXPECT_EQ(restored.out_dir, "restored");
+  EXPECT_EQ(restored.threads, 3u);
 }
 
 TEST(PipelineManifest, JsonRoundTripPreservesEverything) {

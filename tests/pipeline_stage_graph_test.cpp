@@ -4,13 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <mutex>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "core/worker_pool.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace sp::pipeline {
@@ -57,6 +61,71 @@ TEST(PipelineStageGraph, DiamondRunsInTopologicalOrderOnSerialPool) {
     EXPECT_EQ(result.status, StageStatus::Done);
     EXPECT_GT(result.peak_rss_kb, 0);
   }
+}
+
+// Stages run in the order they were added, not depth-first: b1 runs
+// before a1's dependent a2. For a campaign this is month by month.
+TEST(PipelineStageGraph, SerialPoolRunsStagesInAddOrder) {
+  StageGraph graph;
+  std::vector<std::string> order;
+  const auto body = [&order](std::string name) {
+    return [&order, name = std::move(name)] {
+      order.push_back(name);
+      return StageOutcome::success();
+    };
+  };
+  const auto a1 = graph.add("a1", {}, body("a1"));
+  const auto b1 = graph.add("b1", {}, body("b1"));
+  graph.add("a2", {a1}, body("a2"));
+  graph.add("b2", {b1}, body("b2"));
+
+  core::WorkerPool pool(1);
+  EXPECT_TRUE(graph.run(pool));
+  EXPECT_EQ(order, (std::vector<std::string>{"a1", "b1", "a2", "b2"}));
+}
+
+// Every worker drains the graph, the calling thread included, so a pool
+// of N runs N independent stages at once. Each stage waits (up to 2 s)
+// for the peak concurrency to reach N, then records it.
+TEST(PipelineStageGraph, PoolOfNRunsNStagesAtOnce) {
+  constexpr int kWorkers = 4;
+  StageGraph graph;
+  std::mutex mutex;
+  std::condition_variable changed;
+  int active = 0;
+  int peak = 0;
+  std::vector<int> peaks;
+  for (int i = 0; i < kWorkers; ++i) {
+    graph.add("s" + std::to_string(i), {}, [&] {
+      std::unique_lock lock(mutex);
+      peak = std::max(peak, ++active);
+      changed.notify_all();
+      changed.wait_for(lock, std::chrono::seconds(2), [&] { return peak == kWorkers; });
+      peaks.push_back(peak);
+      --active;
+      return StageOutcome::success();
+    });
+  }
+  core::WorkerPool pool(kWorkers);
+  EXPECT_TRUE(graph.run(pool));
+  EXPECT_EQ(peaks, std::vector<int>(kWorkers, kWorkers));
+}
+
+TEST(PipelineStageGraph, StageWaitHistogramGainsOneSamplePerStageThatRan) {
+  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
+  const obs::Histogram waits =
+      obs::MetricsRegistry::global().histogram("pipeline.stage_wait_us");
+  const std::uint64_t before = obs::HistogramSnapshot::of(waits).count;
+
+  StageGraph graph;
+  const auto root = graph.add("root", {}, [] { return StageOutcome::success(); });
+  const auto bad = graph.add("bad", {root}, [] { return StageOutcome::failure("no"); });
+  graph.add("doomed", {bad}, [] { return StageOutcome::success(); });  // never runs
+  graph.add("cached", {root}, [] { return StageOutcome::hit(); });
+  core::WorkerPool pool(2);
+  EXPECT_FALSE(graph.run(pool));
+
+  EXPECT_EQ(obs::HistogramSnapshot::of(waits).count - before, 3u);  // root, bad, cached
 }
 
 TEST(PipelineStageGraph, ChainsStayOrderedAcrossWorkers) {

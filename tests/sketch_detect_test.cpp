@@ -297,7 +297,7 @@ TEST(SketchEstimator, TunerResultsUnchangedWithEstimatorFilter) {
     expect_byte_identical(actual.pairs, expected.pairs);
     // And through the parallel path with the estimator shared across
     // threads (it must be safely readable concurrently).
-    expect_byte_identical(filtered.tune_all_parallel(pairs, 4).pairs, expected.pairs);
+    expect_byte_identical(filtered.tune_all(pairs, 4).pairs, expected.pairs);
   }
   {  // SP-Tuner-LS
     const core::SpTunerLs baseline(corpus, universe.rib());
