@@ -12,7 +12,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "bench_json_main.h"
 #include "core/corpus_delta.h"
@@ -38,16 +38,18 @@ struct Months {
   std::size_t month1_pairs = 0;
 };
 
-/// Re-materializes a side's prefix→set map from the flat index, so the
-/// low-churn variant can be rebuilt with one edge added.
-std::unordered_map<Prefix, core::DomainSet> sets_of(const core::DetectIndex::Side& side) {
-  std::unordered_map<Prefix, core::DomainSet> sets;
-  sets.reserve(side.prefix_count());
-  for (std::uint32_t dense = 0; dense < side.prefix_count(); ++dense) {
-    const auto elements = side.elements_of(dense);
-    sets.emplace(side.prefixes[dense], core::DomainSet(elements.begin(), elements.end()));
+/// The index's (prefix, element) edges, both sides, so the low-churn
+/// variant can be rebuilt with one edge added.
+std::vector<core::DetectIndex::Edge> edges_of(const core::DetectIndex& index) {
+  std::vector<core::DetectIndex::Edge> edges;
+  for (const core::DetectIndex::Side* side : {&index.v4, &index.v6}) {
+    for (std::uint32_t dense = 0; dense < side->prefix_count(); ++dense) {
+      for (const core::DomainId id : side->elements_of(dense)) {
+        edges.push_back({side->prefixes[dense], id});
+      }
+    }
   }
-  return sets;
+  return edges;
 }
 
 const Months& months() {
@@ -60,20 +62,14 @@ const Months& months() {
     const synth::SyntheticInternet universe(config);
     const auto corpus0 = core::DualStackCorpus::build(universe.snapshot_at(0), universe.rib());
     const auto corpus1 = core::DualStackCorpus::build(universe.snapshot_at(1), universe.rib());
-    cache->month0 = core::DetectIndex::build(corpus0.prefix_domains(Family::v4),
-                                             corpus0.prefix_domains(Family::v6));
-    cache->month1 = core::DetectIndex::build(corpus1.prefix_domains(Family::v4),
-                                             corpus1.prefix_domains(Family::v6));
+    cache->month0 = corpus0.detect_index();
+    cache->month1 = corpus1.detect_index();
 
-    auto v4_sets = sets_of(cache->month1.v4);
-    auto v6_sets = sets_of(cache->month1.v6);
-    core::DomainId fresh = 0;
-    for (const auto& [prefix, set] : v4_sets) {
-      for (const core::DomainId id : set) fresh = std::max(fresh, id + 1);
-    }
-    v4_sets.begin()->second.push_back(fresh);
-    core::normalize(v4_sets.begin()->second);
-    cache->month1_low_churn = core::DetectIndex::build(v4_sets, v6_sets);
+    // One fresh v4 element (past every v4 id) on the first v4 prefix.
+    auto edges = edges_of(cache->month1);
+    const auto fresh = static_cast<core::DomainId>(cache->month1.v4.element_count());
+    edges.push_back({cache->month1.v4.prefixes.front(), fresh});
+    cache->month1_low_churn = core::DetectIndex::build(std::move(edges));
 
     cache->boundary = core::CorpusDelta::between(cache->month0, cache->month1);
     cache->boundary_back = core::CorpusDelta::between(cache->month1, cache->month0);

@@ -106,11 +106,12 @@ int run(const std::string& mrt_path, const std::string& snapshot_path,
               snapshot->dual_stack_count());
 
   const auto corpus = core::DualStackCorpus::build(*snapshot, rib);
-  std::printf("corpus: %zu DS identities on %zu v4 / %zu v6 prefixes"
-              " (%zu reserved addresses discarded, %zu unmapped)\n",
-              corpus.ds_domain_count(), corpus.stats().v4_prefixes,
-              corpus.stats().v6_prefixes, corpus.stats().discarded_reserved,
-              corpus.stats().unmapped_addresses);
+  const auto& stats = corpus.stats();
+  std::printf("corpus: %zu DS identities on %zu v4 / %zu v6 prefixes, %zu v4 / %zu v6 hosts,"
+              " %zu host-domain edges (%zu reserved addresses discarded, %zu unmapped)\n",
+              corpus.ds_domain_count(), stats.v4_prefixes, stats.v6_prefixes, stats.v4_hosts,
+              stats.v6_hosts, stats.host_domain_edges, stats.discarded_reserved,
+              stats.unmapped_addresses);
 
   auto pairs = core::detect_sibling_prefixes(corpus);
   std::printf("detected %zu sibling pairs (BGP-announced sizes)\n", pairs.size());

@@ -200,20 +200,16 @@ bool make_net_frame_seeds(const fs::path& root) {
 bool make_sketch_sig_seeds(const fs::path& root) {
   // A valid "SPSK" blob from the project's own serializer: mixed small
   // (complete) and over-k (truncated) signatures on both families.
-  std::unordered_map<sp::Prefix, sp::core::DomainSet> v4_sets;
-  std::unordered_map<sp::Prefix, sp::core::DomainSet> v6_sets;
+  std::vector<sp::core::DetectIndex::Edge> edges;
   for (sp::core::DomainId element = 0; element < 10; ++element) {
-    v4_sets[sp::Prefix::must_parse("192.0.2.0/24")].push_back(element);
-    v6_sets[sp::Prefix::must_parse("2001:db8::/32")].push_back(element);
+    edges.push_back({sp::Prefix::must_parse("192.0.2.0/24"), element});
+    edges.push_back({sp::Prefix::must_parse("2001:db8::/32"), element});
   }
   for (sp::core::DomainId element = 0; element < 200; ++element) {
-    v4_sets[sp::Prefix::must_parse("198.51.100.0/24")].push_back(element);
-    v6_sets[sp::Prefix::must_parse("2001:db8:1::/48")].push_back(element % 40);
+    edges.push_back({sp::Prefix::must_parse("198.51.100.0/24"), element});
+    edges.push_back({sp::Prefix::must_parse("2001:db8:1::/48"), element % 40});
   }
-  for (auto* sets : {&v4_sets, &v6_sets}) {
-    for (auto& [prefix, set] : *sets) sp::core::normalize(set);
-  }
-  const auto index = sp::core::DetectIndex::build(v4_sets, v6_sets);
+  const auto index = sp::core::DetectIndex::build(std::move(edges));
   const sp::sketch::SketchParams params{.k = 16};
   const std::string v4_blob =
       sp::sketch::SignatureSet::build(index.v4, params).serialize();

@@ -3,7 +3,7 @@
 # pass over the threaded engines (parallel detection, SP-Tuner, sketch
 # detection, obs metrics/tracing), an ASan/UBSan pass over the
 # parser-heavy I/O (CSV fuzz round-trip, Happy Eyeballs, manifest
-# UTF-8), a loopback end-to-end smoke of the sp_serve TCP front-end, a
+# UTF-8) and the flat corpus build, a loopback end-to-end smoke of the sp_serve TCP front-end, a
 # sketch-vs-exact identity smoke on a scaled universe, an
 # incremental-vs-scratch stream identity smoke, a chaos soak smoke
 # (seeded fault injection against the serve path — plain with RSS/p99
@@ -52,15 +52,19 @@ cmake --build build-tsan -j "$JOBS" --target core_detect_parallel_test \
 (cd build-tsan && ctest --output-on-failure -j "$JOBS" \
   -R 'DetectParallel|Parallel|Serve|PipelineStageGraph|PipelineResume\.SerialAndDag|PipelineSignal|WorkerPool|Obs|NetServer|NetProtocol|Sketch|Signature|Lsh|SynthScale|Stream|Chaos')
 
-# Stage 3: memory-safety pass over the byte-level parsers under
-# AddressSanitizer + UBSan. The CSV suite includes a seeded fuzz-style
-# round-trip property test (adversarial quote/CR/LF/comma fields), so
-# this stage doubles as a bounded fuzz run on both CSV parsers.
+# Stage 3: memory-safety pass over the byte-level parsers and the flat
+# corpus under AddressSanitizer + UBSan. The CSV suite includes a seeded
+# fuzz-style round-trip property test (adversarial quote/CR/LF/comma
+# fields), so this stage doubles as a bounded fuzz run on both CSV
+# parsers. The corpus, reference-corpus, SetCorpus and SP-Tuner suites
+# drive the sorted-edge build's uint32 offset arithmetic over its CSRs
+# and SP-Tuner's spans into them.
 cmake -B build-asan -S . -DSP_SANITIZE=address,undefined
 cmake --build build-asan -j "$JOBS" --target io_csv_test \
-  he_happy_eyeballs_test pipeline_manifest_test
+  he_happy_eyeballs_test pipeline_manifest_test \
+  core_corpus_detect_test core_corpus_reference_test core_setcorpus_test core_sptuner_test
 (cd build-asan && ctest --output-on-failure -j "$JOBS" \
-  -R 'Csv|HappyEyeballs|PipelineManifest')
+  -R 'Csv|HappyEyeballs|PipelineManifest|DualStackCorpus|DetectSiblings|SetCorpus|SpTuner|CorpusReference')
 
 # Stage 4: loopback end-to-end smoke of the TCP front-end — the real
 # binaries, a real socket. Convert a tiny fixture, start sp_serve

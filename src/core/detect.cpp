@@ -2,40 +2,28 @@
 
 #include <chrono>
 #include <stdexcept>
+#include <unordered_set>
+#include <utility>
 
 #include "core/detect_scan.h"
 #include "obs/metrics.h"
 
 namespace sp::core {
 
-namespace {
-const std::vector<Prefix> kNoPrefixes;
-}  // namespace
-
 void SetCorpus::add(const Prefix& prefix, DomainId element) {
   if (finalized_) {
     throw std::logic_error("SetCorpus::add called after finalize()");
   }
-  auto& sets = prefix.family() == Family::v4 ? v4_sets_ : v6_sets_;
-  sets[prefix].push_back(element);
-  auto& by_element =
-      prefix.family() == Family::v4 ? v4_prefixes_by_element_ : v6_prefixes_by_element_;
-  if (by_element.size() <= element) by_element.resize(element + 1);
-  by_element[element].push_back(prefix);
+  if (element >= DetectIndex::kElementLimit) {
+    throw std::out_of_range("SetCorpus::add: element id at or above DetectIndex::kElementLimit");
+  }
+  edges_.push_back(DetectIndex::Edge{prefix, element});
 }
 
 void SetCorpus::finalize() {
   if (finalized_) return;
-  for (auto* sets : {&v4_sets_, &v6_sets_}) {
-    for (auto& [prefix, set] : *sets) normalize(set);
-  }
-  for (auto* by_element : {&v4_prefixes_by_element_, &v6_prefixes_by_element_}) {
-    for (auto& prefixes : *by_element) {
-      std::sort(prefixes.begin(), prefixes.end());
-      prefixes.erase(std::unique(prefixes.begin(), prefixes.end()), prefixes.end());
-    }
-  }
-  index_ = DetectIndex::build(v4_sets_, v6_sets_);
+  index_ = DetectIndex::build(std::move(edges_));
+  edges_ = {};
   finalized_ = true;
 }
 
@@ -46,18 +34,10 @@ const DetectIndex& SetCorpus::detect_index() const {
   return index_;
 }
 
-const std::vector<Prefix>& SetCorpus::prefixes_of(DomainId element,
-                                                  Family family) const noexcept {
-  const auto& by_element =
-      family == Family::v4 ? v4_prefixes_by_element_ : v6_prefixes_by_element_;
-  if (element >= by_element.size()) return kNoPrefixes;
-  return by_element[element];
-}
-
-const DomainSet* SetCorpus::domains_of(const Prefix& prefix) const noexcept {
-  const auto& sets = prefix.family() == Family::v4 ? v4_sets_ : v6_sets_;
-  const auto it = sets.find(prefix);
-  return it == sets.end() ? nullptr : &it->second;
+DomainSpan SetCorpus::domains_of(const Prefix& prefix) const noexcept {
+  const DetectIndex::Side& side = index_.side(prefix.family());
+  const auto dense = side.find(prefix);
+  return dense ? side.elements_of(*dense) : DomainSpan{};
 }
 
 namespace {
@@ -103,12 +83,12 @@ std::vector<SiblingPair> detect_sibling_prefixes(const SetCorpus& corpus,
 
 std::vector<SiblingPair> detect_sibling_prefixes_serial(const DualStackCorpus& corpus,
                                                         const DetectOptions& options) {
-  return detail::detect_over(corpus, options);
+  return detail::detect_over(corpus.detect_index(), options);
 }
 
 std::vector<SiblingPair> detect_sibling_prefixes_serial(const SetCorpus& corpus,
                                                         const DetectOptions& options) {
-  return detail::detect_over(corpus, options);
+  return detail::detect_over(corpus.detect_index(), options);
 }
 
 std::size_t unique_prefix_count(std::span<const SiblingPair> pairs, Family family) {

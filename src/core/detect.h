@@ -7,16 +7,16 @@
 // matches of both directions, deduplicated and sorted.
 //
 // Detection is generic over the corpus (paper section 3.7: any input that
-// maps prefixes to sets works): DualStackCorpus provides domain sets from
-// DNS; SetCorpus accepts arbitrary (prefix, element) observations such as
-// responsive ports, rDNS names or alias identifiers.
+// maps prefixes to sets works): every engine reads a DetectIndex, which
+// DualStackCorpus builds from DNS domain sets and SetCorpus from arbitrary
+// (prefix, element) observations such as responsive ports, rDNS names or
+// alias identifiers.
 #pragma once
 
 #include <algorithm>
 #include <compare>
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/corpus.h"
@@ -94,27 +94,21 @@ struct DetectOptions {
   DetectStats* stats = nullptr;
 };
 
-/// The corpus interface detection runs on.
-template <typename C>
-concept SiblingCorpus = requires(const C& corpus, const Prefix& prefix, DomainId id,
-                                 Family family) {
-  { corpus.prefix_domains(family) } -> std::convertible_to<const std::unordered_map<Prefix, DomainSet>&>;
-  { corpus.prefixes_of(id, family) } -> std::convertible_to<const std::vector<Prefix>&>;
-  { corpus.domains_of(prefix) } -> std::convertible_to<const DomainSet*>;
-};
-
 /// A generic prefix→element-set corpus (the "other inputs" of section
 /// 3.7). Elements are opaque 32-bit ids — ports, interned rDNS names,
-/// alias ids. Call finalize() once after the last add().
+/// alias ids — below DetectIndex::kElementLimit; the index allocates one
+/// posting offset per id up to the largest, so ids should be dense. Call
+/// finalize() once after the last add().
 class SetCorpus {
  public:
-  /// Records one (prefix, element) observation. Throws std::logic_error
-  /// once finalize() has run — the flat detection index would silently go
-  /// stale otherwise.
+  /// Records one (prefix, element) observation. Throws std::out_of_range
+  /// for an element at or above DetectIndex::kElementLimit, and
+  /// std::logic_error once finalize() has run — the flat detection index
+  /// would silently go stale otherwise.
   void add(const Prefix& prefix, DomainId element);
 
-  /// Sorts sets and builds the inverted indexes (per-element prefix lists
-  /// plus the flat DetectIndex). Idempotent; add() must not be called
+  /// Builds the flat DetectIndex from the recorded edges (duplicates
+  /// collapse) and releases them. Idempotent; add() must not be called
   /// afterwards.
   void finalize();
 
@@ -123,19 +117,12 @@ class SetCorpus {
   /// The flat detection index; throws std::logic_error before finalize().
   [[nodiscard]] const DetectIndex& detect_index() const;
 
-  [[nodiscard]] const std::unordered_map<Prefix, DomainSet>& prefix_domains(
-      Family family) const noexcept {
-    return family == Family::v4 ? v4_sets_ : v6_sets_;
-  }
-  [[nodiscard]] const std::vector<Prefix>& prefixes_of(DomainId element,
-                                                       Family family) const noexcept;
-  [[nodiscard]] const DomainSet* domains_of(const Prefix& prefix) const noexcept;
+  /// Sorted element set of one prefix; empty when the prefix is unknown
+  /// or finalize() has not run.
+  [[nodiscard]] DomainSpan domains_of(const Prefix& prefix) const noexcept;
 
  private:
-  std::unordered_map<Prefix, DomainSet> v4_sets_;
-  std::unordered_map<Prefix, DomainSet> v6_sets_;
-  std::vector<std::vector<Prefix>> v4_prefixes_by_element_;
-  std::vector<std::vector<Prefix>> v6_prefixes_by_element_;
+  std::vector<DetectIndex::Edge> edges_;
   DetectIndex index_;
   bool finalized_ = false;
 };
@@ -144,17 +131,21 @@ namespace detail {
 
 inline constexpr double kTieEpsilon = 1e-12;
 
-// Emits the best-match pairs for every prefix of `from` family.
-template <SiblingCorpus Corpus>
-void detect_direction(const Corpus& corpus, Metric metric, Family from,
-                      std::vector<SiblingPair>& out) {
-  const Family to = from == Family::v4 ? Family::v6 : Family::v4;
+// Emits the best-match pairs for every prefix of `from` family: hash-map
+// candidate counting over the postings, then two passes over the
+// candidates (the best value, then every tie with it).
+inline void detect_direction(const DetectIndex& index, Metric metric, Family from,
+                             std::vector<SiblingPair>& out) {
+  const DetectIndex::Side& from_side = index.side(from);
+  const DetectIndex::Side& to_side = index.side(from == Family::v4 ? Family::v6 : Family::v4);
 
-  for (const auto& [prefix, elements] : corpus.prefix_domains(from)) {
+  for (std::uint32_t source = 0; source < from_side.prefix_count(); ++source) {
+    const Prefix& prefix = from_side.prefixes[source];
+    const std::size_t size = from_side.set_size(source);
     // Candidate counterpart prefixes share at least one element.
-    std::unordered_map<Prefix, std::uint32_t> shared_counts;
-    for (const DomainId id : elements) {
-      for (const Prefix& candidate : corpus.prefixes_of(id, to)) {
+    std::unordered_map<std::uint32_t, std::uint32_t> shared_counts;
+    for (const DomainId id : from_side.elements_of(source)) {
+      for (const std::uint32_t candidate : to_side.postings_of(id)) {
         ++shared_counts[candidate];
       }
     }
@@ -162,26 +153,25 @@ void detect_direction(const Corpus& corpus, Metric metric, Family from,
 
     double best = 0.0;
     for (const auto& [candidate, shared] : shared_counts) {
-      const DomainSet* candidate_elements = corpus.domains_of(candidate);
-      best = std::max(best, similarity_from_sizes(metric, shared, elements.size(),
-                                                  candidate_elements->size()));
+      best = std::max(best, similarity_from_sizes(metric, shared, size,
+                                                  to_side.set_size(candidate)));
     }
     if (best <= 0.0) continue;
 
     for (const auto& [candidate, shared] : shared_counts) {
-      const DomainSet* candidate_elements = corpus.domains_of(candidate);
-      const double value = similarity_from_sizes(metric, shared, elements.size(),
-                                                 candidate_elements->size());
+      const std::size_t candidate_size = to_side.set_size(candidate);
+      const double value = similarity_from_sizes(metric, shared, size, candidate_size);
       if (value + kTieEpsilon < best) continue;
+      const Prefix& counterpart = to_side.prefixes[candidate];
       SiblingPair pair;
-      pair.v4 = from == Family::v4 ? prefix : candidate;
-      pair.v6 = from == Family::v4 ? candidate : prefix;
+      pair.v4 = from == Family::v4 ? prefix : counterpart;
+      pair.v6 = from == Family::v4 ? counterpart : prefix;
       pair.similarity = value;
       pair.shared_domains = shared;
-      pair.v4_domain_count = static_cast<std::uint32_t>(
-          from == Family::v4 ? elements.size() : candidate_elements->size());
-      pair.v6_domain_count = static_cast<std::uint32_t>(
-          from == Family::v4 ? candidate_elements->size() : elements.size());
+      pair.v4_domain_count =
+          static_cast<std::uint32_t>(from == Family::v4 ? size : candidate_size);
+      pair.v6_domain_count =
+          static_cast<std::uint32_t>(from == Family::v4 ? candidate_size : size);
       out.push_back(pair);
     }
   }
@@ -195,12 +185,11 @@ inline void sort_unique(std::vector<SiblingPair>& pairs) {
   pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
 }
 
-template <SiblingCorpus Corpus>
-[[nodiscard]] std::vector<SiblingPair> detect_over(const Corpus& corpus,
-                                                   const DetectOptions& options) {
+[[nodiscard]] inline std::vector<SiblingPair> detect_over(const DetectIndex& index,
+                                                          const DetectOptions& options) {
   std::vector<SiblingPair> pairs;
-  detect_direction(corpus, options.metric, Family::v4, pairs);
-  detect_direction(corpus, options.metric, Family::v6, pairs);
+  detect_direction(index, options.metric, Family::v4, pairs);
+  detect_direction(index, options.metric, Family::v6, pairs);
   sort_unique(pairs);
   return pairs;
 }
@@ -220,9 +209,11 @@ template <SiblingCorpus Corpus>
                                                                const DetectOptions& options = {});
 
 /// The single-threaded reference implementation (detail::detect_over):
-/// hash-map candidate counting, two similarity passes. Kept as the oracle
-/// for the serial-vs-sharded equivalence harness and as the bench
-/// baseline; `options.threads` and `options.stats` are ignored.
+/// hash-map candidate counting and two similarity passes over the same
+/// DetectIndex the sharded driver scans. Kept as the oracle for the
+/// serial-vs-sharded equivalence harness and as the bench baseline;
+/// `options.threads` and `options.stats` are ignored. The index build
+/// itself is guarded by the reference corpus test.
 [[nodiscard]] std::vector<SiblingPair> detect_sibling_prefixes_serial(
     const DualStackCorpus& corpus, const DetectOptions& options = {});
 [[nodiscard]] std::vector<SiblingPair> detect_sibling_prefixes_serial(

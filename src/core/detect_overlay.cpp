@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <iterator>
-#include <limits>
-#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -41,25 +39,14 @@ DetectIndex::Side apply_side(const DetectIndex::Side& base,
   // Pass 1: merge-walk base rows and delta entries into the surviving
   // (prefix, element set) rows, validating the delta against the base.
   DetectIndex::Side side;
-  side.set_offsets.push_back(0);
   DomainSet merged;
-
-  const auto emit_row = [&](const Prefix& prefix, std::span<const DomainId> elements) {
-    if (side.set_elements.size() + elements.size() >
-        std::numeric_limits<std::uint32_t>::max()) {
-      throw std::length_error("DetectIndexOverlay: side exceeds 2^32 set elements");
-    }
-    side.prefixes.push_back(prefix);
-    side.set_elements.insert(side.set_elements.end(), elements.begin(), elements.end());
-    side.set_offsets.push_back(static_cast<std::uint32_t>(side.set_elements.size()));
-  };
 
   std::uint32_t b = 0;
   std::size_t d = 0;
   const auto base_count = static_cast<std::uint32_t>(base.prefix_count());
   while (b < base_count || d < deltas.size()) {
     if (d >= deltas.size() || (b < base_count && base.prefixes[b] < deltas[d].prefix)) {
-      emit_row(base.prefixes[b], base.elements_of(b));  // untouched row, copied verbatim
+      side.append(base.prefixes[b], base.elements_of(b));  // untouched row, copied verbatim
       ++b;
       continue;
     }
@@ -67,7 +54,7 @@ DetectIndex::Side apply_side(const DetectIndex::Side& base,
     if (b >= base_count || delta.prefix < base.prefixes[b]) {
       // Birth: the delta must be purely additive against an absent row.
       if (!delta.removed.empty()) invalid("CorpusDelta: removal from an absent prefix");
-      emit_row(delta.prefix, delta.added);
+      side.append(delta.prefix, delta.added);
       ++d;
       continue;
     }
@@ -85,12 +72,12 @@ DetectIndex::Side apply_side(const DetectIndex::Side& base,
     if (next.size() != kept + delta.added.size()) {
       invalid("CorpusDelta: addition of an edge the base already has");
     }
-    if (!next.empty()) emit_row(delta.prefix, next);  // empty ⇒ prefix death
+    if (!next.empty()) side.append(delta.prefix, next);  // empty ⇒ prefix death
     ++b;
     ++d;
   }
 
-  // Pass 2: the posting CSR, built exactly as DetectIndex::build does.
+  // Pass 2: the posting CSR, built exactly as every index build does.
   side.build_postings();
   return side;
 }

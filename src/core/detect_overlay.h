@@ -4,9 +4,10 @@
 // without synchronization, and the CSR layout has no room for in-place
 // set growth. The overlay keeps that property while making the index
 // delta-updatable: apply() merges a CorpusDelta into a *fresh* pair of
-// CSR sides, copying the untouched rows' element spans verbatim and
-// rebuilding the posting lists with DetectIndex::Side::build_postings,
-// the counting sort DetectIndex::build runs too. Compaction is O(elements) — linear in the corpus,
+// CSR sides through DetectIndex::Side::append, copying the untouched
+// rows' element spans verbatim, and rebuilds the posting lists with
+// DetectIndex::Side::build_postings, the counting sort every index build
+// runs. Compaction is O(elements) — linear in the corpus,
 // independent of delta size — which is cheap next to detection's
 // superlinear candidate work, and it means every engine keeps scanning a
 // plain DetectIndex::Side: the byte-identity contract of
@@ -37,7 +38,7 @@ class DetectIndexOverlay {
   void reset(DetectIndex index) { index_ = std::move(index); }
 
   /// Applies `delta`, compacting into fresh CSR sides. After apply(),
-  /// index() equals DetectIndex::build over the post-delta sets (same
+  /// index() equals DetectIndex::build over the post-delta edges (same
   /// prefix order, same element spans, same posting layout). Throws
   /// std::invalid_argument when the delta is inconsistent with the
   /// current index; the index is unchanged in that case.

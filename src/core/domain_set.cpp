@@ -14,11 +14,11 @@ void insert_id(DomainSet& set, DomainId id) {
   if (it == set.end() || *it != id) set.insert(it, id);
 }
 
-bool contains_id(const DomainSet& set, DomainId id) noexcept {
+bool contains_id(DomainSpan set, DomainId id) noexcept {
   return std::binary_search(set.begin(), set.end(), id);
 }
 
-std::size_t intersection_size(const DomainSet& a, const DomainSet& b) noexcept {
+std::size_t intersection_size(DomainSpan a, DomainSpan b) noexcept {
   std::size_t count = 0;
   auto ia = a.begin();
   auto ib = b.begin();

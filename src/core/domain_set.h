@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -19,16 +20,20 @@ using DomainId = std::uint32_t;
 /// A sorted, duplicate-free vector of domain ids.
 using DomainSet = std::vector<DomainId>;
 
+/// A read-only view of a sorted, duplicate-free id run: a DomainSet, or
+/// one row of a flat CSR such as the corpus's host→domains table.
+using DomainSpan = std::span<const DomainId>;
+
 /// Sorts and deduplicates in place.
 void normalize(DomainSet& set);
 
 /// Inserts `id` keeping the set sorted and unique.
 void insert_id(DomainSet& set, DomainId id);
 
-[[nodiscard]] bool contains_id(const DomainSet& set, DomainId id) noexcept;
+[[nodiscard]] bool contains_id(DomainSpan set, DomainId id) noexcept;
 
 /// |a ∩ b| by linear merge.
-[[nodiscard]] std::size_t intersection_size(const DomainSet& a, const DomainSet& b) noexcept;
+[[nodiscard]] std::size_t intersection_size(DomainSpan a, DomainSpan b) noexcept;
 
 [[nodiscard]] DomainSet set_union(const DomainSet& a, const DomainSet& b);
 [[nodiscard]] DomainSet set_intersection(const DomainSet& a, const DomainSet& b);

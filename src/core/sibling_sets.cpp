@@ -61,15 +61,13 @@ std::vector<SiblingSetPair> build_sibling_sets(const DualStackCorpus& corpus,
     }
     DomainSet d4;
     for (const Prefix& prefix : component.v4_prefixes) {
-      if (const DomainSet* domains = corpus.domains_of(prefix)) {
-        d4.insert(d4.end(), domains->begin(), domains->end());
-      }
+      const DomainSpan domains = corpus.domains_of(prefix);
+      d4.insert(d4.end(), domains.begin(), domains.end());
     }
     DomainSet d6;
     for (const Prefix& prefix : component.v6_prefixes) {
-      if (const DomainSet* domains = corpus.domains_of(prefix)) {
-        d6.insert(d6.end(), domains->begin(), domains->end());
-      }
+      const DomainSpan domains = corpus.domains_of(prefix);
+      d6.insert(d6.end(), domains.begin(), domains.end());
     }
     normalize(d4);
     normalize(d6);

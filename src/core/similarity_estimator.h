@@ -22,13 +22,14 @@ class SimilarityEstimator {
  public:
   virtual ~SimilarityEstimator() = default;
 
-  /// Estimates Jaccard(∪a, ∪b) for two unions of domain sets. Every
-  /// pointer must be non-null; empty spans denote the empty set. The
-  /// pointed-to sets must outlive the estimator call (implementations may
-  /// cache per-set state keyed by pointer identity, so callers should pass
-  /// stable corpus-owned sets, not temporaries).
-  [[nodiscard]] virtual double estimate_union_jaccard(
-      std::span<const DomainSet* const> a, std::span<const DomainSet* const> b) const = 0;
+  /// Estimates Jaccard(∪a, ∪b) for two unions of sorted domain sets;
+  /// empty outer spans denote the empty set. The viewed ids must outlive
+  /// the call. Implementations may cache per-set state keyed by the set's
+  /// address, so callers should pass rows of the corpus's host→domains
+  /// CSR (DualStackCorpus::hosts) where they can; any other set is
+  /// estimated from its contents.
+  [[nodiscard]] virtual double estimate_union_jaccard(std::span<const DomainSpan> a,
+                                                      std::span<const DomainSpan> b) const = 0;
 };
 
 }  // namespace sp::core

@@ -32,17 +32,17 @@ SpTunerMs::SpTunerMs(const DualStackCorpus& corpus, SpTunerConfig config)
 DomainSet SpTunerMs::domains_of(std::span<const Item> items) {
   DomainSet out;
   for (const Item& item : items) {
-    out.insert(out.end(), item.domains->begin(), item.domains->end());
+    out.insert(out.end(), item.domains, item.domains + item.domain_count);
   }
   normalize(out);
   return out;
 }
 
-std::vector<const DomainSet*> SpTunerMs::domain_pointers(std::span<const Item> items) {
-  std::vector<const DomainSet*> ptrs;
-  ptrs.reserve(items.size());
-  for (const Item& item : items) ptrs.push_back(item.domains);
-  return ptrs;
+std::vector<DomainSpan> SpTunerMs::domain_spans(std::span<const Item> items) {
+  std::vector<DomainSpan> spans;
+  spans.reserve(items.size());
+  for (const Item& item : items) spans.push_back(item.domain_span());
+  return spans;
 }
 
 bool SpTunerMs::can_descend(const Side& side, unsigned threshold) const {
@@ -64,10 +64,14 @@ std::vector<SpTunerMs::Side> SpTunerMs::children_of(const Side& side) {
 std::vector<SiblingPair> SpTunerMs::tune_pair(const SiblingPair& pair) const {
   std::vector<SiblingPair> results;
 
-  const auto to_items = [](const std::vector<DualStackCorpus::HostDomains>& hosts) {
+  const auto to_items = [](const HostRange& hosts) {
     std::vector<Item> items;
     items.reserve(hosts.size());
-    for (const auto& host : hosts) items.push_back({host.host, &host.domains});
+    for (std::size_t i = 0; i < hosts.size(); ++i) {
+      const DomainSpan domains = hosts.domains(i);
+      items.push_back({hosts.address(i), static_cast<std::uint32_t>(domains.size()),
+                       domains.data()});
+    }
     return items;
   };
 
@@ -105,10 +109,10 @@ std::vector<SiblingPair> SpTunerMs::tune_pair(const SiblingPair& pair) const {
       std::vector<DomainSet> unions6;
       unions6.reserve(options6.size());
       for (const Side& c6 : options6) unions6.push_back(domains_of(c6.items));
-      std::vector<std::vector<const DomainSet*>> ptrs6;
+      std::vector<std::vector<DomainSpan>> spans6;
       if (config_.estimator != nullptr) {
-        ptrs6.reserve(options6.size());
-        for (const Side& c6 : options6) ptrs6.push_back(domain_pointers(c6.items));
+        spans6.reserve(options6.size());
+        for (const Side& c6 : options6) spans6.push_back(domain_spans(c6.items));
       }
 
       const Side* best4 = nullptr;
@@ -117,9 +121,9 @@ std::vector<SiblingPair> SpTunerMs::tune_pair(const SiblingPair& pair) const {
       unsigned best_depth = 0;
       for (const Side& c4 : options4) {
         const DomainSet cd4 = domains_of(c4.items);
-        const std::vector<const DomainSet*> ptrs4 =
-            config_.estimator != nullptr ? domain_pointers(c4.items)
-                                         : std::vector<const DomainSet*>{};
+        const std::vector<DomainSpan> spans4 = config_.estimator != nullptr
+                                                   ? domain_spans(c4.items)
+                                                   : std::vector<DomainSpan>{};
         for (std::size_t j = 0; j < options6.size(); ++j) {
           const Side& c6 = options6[j];
           if (c4.prefix == task.v4.prefix && c6.prefix == task.v6.prefix) continue;
@@ -130,7 +134,7 @@ std::vector<SiblingPair> SpTunerMs::tune_pair(const SiblingPair& pair) const {
           // still below the margin, so the first combinations always get
           // the exact evaluation).
           if (config_.estimator != nullptr &&
-              config_.estimator->estimate_union_jaccard(ptrs4, ptrs6[j]) +
+              config_.estimator->estimate_union_jaccard(spans4, spans6[j]) +
                       config_.estimator_margin <
                   best_value) {
             continue;
@@ -171,7 +175,7 @@ std::vector<SiblingPair> SpTunerMs::tune_pair(const SiblingPair& pair) const {
         const DomainSet lost_domains = domains_of(lost.items);
         Side other{counterpart.prefix, {}};
         for (const Item& item : counterpart.items) {
-          if (intersection_size(*item.domains, lost_domains) > 0) {
+          if (intersection_size(item.domain_span(), lost_domains) > 0) {
             other.items.push_back(item);
           }
         }
@@ -266,7 +270,7 @@ SiblingPair SpTunerLs::tune_pair(const SiblingPair& pair) const {
 
   for (const Prefix& p4 : candidates(pair.v4, config_.v4_levels_up, origin4)) {
     const DomainSet d4 = corpus_->domains_within(p4);
-    const DomainSet* d4_ptr[] = {&d4};
+    const DomainSpan d4_span[] = {d4};
     for (std::size_t j = 0; j < options6.size(); ++j) {
       const Prefix& p6 = options6[j];
       if (p4 == pair.v4 && p6 == pair.v6) continue;
@@ -274,8 +278,8 @@ SiblingPair SpTunerLs::tune_pair(const SiblingPair& pair) const {
       // Same conservative filter as SP-Tuner-MS: skip the exact pass only
       // when even estimate + margin cannot beat the incumbent.
       if (config_.estimator != nullptr) {
-        const DomainSet* d6_ptr[] = {&d6};
-        if (config_.estimator->estimate_union_jaccard(d4_ptr, d6_ptr) +
+        const DomainSpan d6_span[] = {d6};
+        if (config_.estimator->estimate_union_jaccard(d4_span, d6_span) +
                 config_.estimator_margin <
             best.similarity) {
           continue;

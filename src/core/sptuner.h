@@ -65,10 +65,17 @@ class SpTunerMs {
                                        unsigned threads = 1) const;
 
  private:
+  /// One populated host: its address and its row of the corpus's
+  /// host→domains CSR, held as pointer + length so an Item stays 32
+  /// bytes (children_of copies Items at every refinement step).
   struct Item {
-    Prefix host;
-    const DomainSet* domains;
+    IPAddress host;
+    std::uint32_t domain_count = 0;
+    const DomainId* domains = nullptr;
+
+    [[nodiscard]] DomainSpan domain_span() const noexcept { return {domains, domain_count}; }
   };
+  static_assert(sizeof(Item) <= 32);
   struct Side {
     Prefix prefix;
     std::vector<Item> items;
@@ -79,10 +86,10 @@ class SpTunerMs {
   };
 
   [[nodiscard]] static DomainSet domains_of(std::span<const Item> items);
-  /// The items' set pointers, in item order — the estimator input (the
-  /// pointers are corpus-owned host sets, so estimator caches stay valid).
-  [[nodiscard]] static std::vector<const DomainSet*> domain_pointers(
-      std::span<const Item> items);
+  /// The items' domain rows, in item order — the estimator input (the
+  /// rows point into the corpus, so estimator caches keyed by row address
+  /// stay valid).
+  [[nodiscard]] static std::vector<DomainSpan> domain_spans(std::span<const Item> items);
   [[nodiscard]] bool can_descend(const Side& side, unsigned threshold) const;
   /// Child sides with non-empty item partitions (0, 1 or 2 entries).
   [[nodiscard]] static std::vector<Side> children_of(const Side& side);

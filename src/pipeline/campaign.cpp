@@ -510,6 +510,9 @@ void Runner::build_graph() {
           text += "v6_prefixes," + std::to_string(stats.v6_prefixes) + "\n";
           text += "discarded_reserved," + std::to_string(stats.discarded_reserved) + "\n";
           text += "unmapped_addresses," + std::to_string(stats.unmapped_addresses) + "\n";
+          text += "v4_hosts," + std::to_string(stats.v4_hosts) + "\n";
+          text += "v6_hosts," + std::to_string(stats.v6_hosts) + "\n";
+          text += "host_domain_edges," + std::to_string(stats.host_domain_edges) + "\n";
           return atomic_write_file(abs(corpus_name(m)), text, error);
         });
 

@@ -9,7 +9,7 @@ namespace sp::sketch {
 namespace {
 
 /// Bottom-k of one set's element hashes: sorted distinct, ≤ k entries.
-std::vector<std::uint64_t> bottom_k(const core::DomainSet& set, const SketchParams& params) {
+std::vector<std::uint64_t> bottom_k(core::DomainSpan set, const SketchParams& params) {
   std::vector<std::uint64_t> hashes;
   hashes.reserve(set.size());
   for (const core::DomainId element : set) {
@@ -27,28 +27,22 @@ std::vector<std::uint64_t> bottom_k(const core::DomainSet& set, const SketchPara
 
 SketchEstimator::SketchEstimator(const core::DualStackCorpus& corpus, SketchParams params)
     : params_(params) {
-  // Register every populated host set of both families: these are the set
-  // addresses SP-Tuner-MS items point at, so its estimates are all cache
-  // hits. Insertion happens only here; the map is read-only afterwards,
-  // which is what makes estimate_union_jaccard safe to share across the
-  // tuner's threads without a lock.
+  // Register every host row of both families: these are the rows SP-Tuner-MS
+  // items point at, so its estimates are all cache hits. Insertion happens
+  // only here; the map is read-only afterwards, which is what makes
+  // estimate_union_jaccard safe to share across the tuner's threads
+  // without a lock.
   for (const Family family : {Family::v4, Family::v6}) {
-    for (const auto& [prefix, domains] : corpus.prefix_domains(family)) {
-      for (const auto& host : corpus.hosts_of(prefix)) {
-        cache_set(host.domains);
-      }
+    const core::HostRange hosts = corpus.hosts(family);
+    for (std::size_t row = 0; row < hosts.size(); ++row) {
+      const core::DomainSpan set = hosts.domains(row);
+      cache_[set.data()] = {bottom_k(set, params_), static_cast<std::uint32_t>(set.size())};
     }
   }
 }
 
-void SketchEstimator::cache_set(const core::DomainSet& set) {
-  CachedSignature& cached = cache_[&set];
-  cached.hashes = bottom_k(set, params_);
-  cached.set_size = static_cast<std::uint32_t>(set.size());
-}
-
 SketchEstimator::UnionSketch SketchEstimator::sketch_union(
-    std::span<const core::DomainSet* const> sets) const {
+    std::span<const core::DomainSpan> sets) const {
   UnionSketch result;
   // Gather every member's signature (cached or computed), then keep the k
   // smallest distinct union hashes. The union signature is complete —
@@ -56,14 +50,14 @@ SketchEstimator::UnionSketch SketchEstimator::sketch_union(
   // nothing was truncated.
   bool members_complete = true;
   std::vector<std::uint64_t> merged;
-  for (const core::DomainSet* set : sets) {
-    const auto it = cache_.find(set);
-    if (it != cache_.end()) {
+  for (const core::DomainSpan set : sets) {
+    const auto it = cache_.find(set.data());
+    if (it != cache_.end() && it->second.set_size == set.size()) {
       merged.insert(merged.end(), it->second.hashes.begin(), it->second.hashes.end());
       if (it->second.set_size > params_.k) members_complete = false;
     } else {
-      const auto hashes = bottom_k(*set, params_);
-      if (set->size() > params_.k) members_complete = false;
+      const auto hashes = bottom_k(set, params_);
+      if (set.size() > params_.k) members_complete = false;
       merged.insert(merged.end(), hashes.begin(), hashes.end());
     }
   }
@@ -75,9 +69,8 @@ SketchEstimator::UnionSketch SketchEstimator::sketch_union(
   return result;
 }
 
-double SketchEstimator::estimate_union_jaccard(
-    std::span<const core::DomainSet* const> a,
-    std::span<const core::DomainSet* const> b) const {
+double SketchEstimator::estimate_union_jaccard(std::span<const core::DomainSpan> a,
+                                               std::span<const core::DomainSpan> b) const {
   const UnionSketch sa = sketch_union(a);
   const UnionSketch sb = sketch_union(b);
   // estimate_jaccard switches to the exact full-merge mode when both

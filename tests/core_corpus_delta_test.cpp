@@ -27,14 +27,11 @@ Prefix p(const char* text) { return Prefix::must_parse(text); }
 using EdgeMap = std::map<Prefix, std::set<DomainId>>;
 
 DetectIndex build_index(const EdgeMap& edges) {
-  std::unordered_map<Prefix, DomainSet> v4_sets;
-  std::unordered_map<Prefix, DomainSet> v6_sets;
+  std::vector<DetectIndex::Edge> flat;
   for (const auto& [prefix, elements] : edges) {
-    if (elements.empty()) continue;
-    DomainSet set(elements.begin(), elements.end());
-    (prefix.family() == Family::v4 ? v4_sets : v6_sets).emplace(prefix, std::move(set));
+    for (const DomainId element : elements) flat.push_back({prefix, element});
   }
-  return DetectIndex::build(v4_sets, v6_sets);
+  return DetectIndex::build(std::move(flat));
 }
 
 void expect_side_equal(const DetectIndex::Side& a, const DetectIndex::Side& b,

@@ -31,11 +31,12 @@ TEST(DualStackCorpus, BuildsPrefixDomainIndexes) {
   EXPECT_EQ(corpus.stats().v6_prefixes, 1u);
   EXPECT_EQ(corpus.stats().discarded_reserved, 0u);
   EXPECT_EQ(corpus.stats().unmapped_addresses, 0u);
+  EXPECT_EQ(corpus.stats().v4_hosts, 3u);
+  EXPECT_EQ(corpus.stats().v6_hosts, 3u);
+  EXPECT_EQ(corpus.stats().host_domain_edges, 6u);
 
-  const DomainSet* v4_domains = corpus.domains_of(p("20.1.1.0/24"));
-  ASSERT_NE(v4_domains, nullptr);
-  EXPECT_EQ(v4_domains->size(), 3u);
-  EXPECT_EQ(corpus.domains_of(p("20.1.2.0/24")), nullptr);
+  EXPECT_EQ(corpus.domains_of(p("20.1.1.0/24")).size(), 3u);
+  EXPECT_TRUE(corpus.domains_of(p("20.1.2.0/24")).empty());
 }
 
 TEST(DualStackCorpus, OnlyDualStackDomainsCount) {
@@ -46,7 +47,11 @@ TEST(DualStackCorpus, OnlyDualStackDomainsCount) {
   builder.host("v6only.example.org", {}, {"2620:100::11"});
   const auto corpus = builder.corpus();
   EXPECT_EQ(corpus.ds_domain_count(), 1u);
-  EXPECT_EQ(corpus.domains_of(p("20.1.1.0/24"))->size(), 1u);
+  EXPECT_EQ(corpus.domains_of(p("20.1.1.0/24")).size(), 1u);
+  // Single-family entries contribute no hosts at all.
+  EXPECT_EQ(corpus.stats().v4_hosts, 1u);
+  EXPECT_EQ(corpus.stats().v6_hosts, 1u);
+  EXPECT_EQ(corpus.stats().host_domain_edges, 2u);
 }
 
 TEST(DualStackCorpus, CnameTargetsCollapseToOneIdentity) {
@@ -55,9 +60,13 @@ TEST(DualStackCorpus, CnameTargetsCollapseToOneIdentity) {
   builder.host_as("www.shop-a.com", "edge.cdn.net", {"20.1.1.10"}, {"2620:100::10"});
   builder.host_as("www.shop-b.com", "edge.cdn.net", {"20.1.1.10"}, {"2620:100::10"});
   const auto corpus = builder.corpus();
-  // Two queried domains, one response identity.
+  // Two queried domains, one response identity: each address carries
+  // one (host, domain) edge, not two.
   EXPECT_EQ(corpus.stats().snapshot_domains, 2u);
   EXPECT_EQ(corpus.ds_domain_count(), 1u);
+  EXPECT_EQ(corpus.stats().v4_hosts, 1u);
+  EXPECT_EQ(corpus.stats().v6_hosts, 1u);
+  EXPECT_EQ(corpus.stats().host_domain_edges, 2u);
 }
 
 TEST(DualStackCorpus, ReservedAddressesAreDiscarded) {
@@ -73,6 +82,9 @@ TEST(DualStackCorpus, ReservedAddressesAreDiscarded) {
   EXPECT_EQ(corpus.ds_domain_count(), 1u);
   EXPECT_EQ(corpus.stats().v4_prefixes, 1u);
   EXPECT_EQ(corpus.stats().v6_prefixes, 1u);
+  EXPECT_EQ(corpus.stats().v4_hosts, 1u);
+  EXPECT_EQ(corpus.stats().v6_hosts, 1u);
+  EXPECT_EQ(corpus.stats().host_domain_edges, 2u);
 }
 
 TEST(DualStackCorpus, UnmappedAddressesAreCounted) {
@@ -82,6 +94,8 @@ TEST(DualStackCorpus, UnmappedAddressesAreCounted) {
   const auto corpus = builder.corpus();
   EXPECT_EQ(corpus.stats().unmapped_addresses, 1u);
   EXPECT_EQ(corpus.stats().v4_prefixes, 1u);
+  EXPECT_EQ(corpus.stats().v4_hosts, 1u);
+  EXPECT_EQ(corpus.stats().host_domain_edges, 2u);
 }
 
 TEST(DualStackCorpus, AddressesMapToLongestMatchPrefix) {
@@ -91,10 +105,10 @@ TEST(DualStackCorpus, AddressesMapToLongestMatchPrefix) {
   builder.host("specific.example.org", {"20.1.1.10"}, {"2620:100::10"});
   builder.host("broad.example.org", {"20.200.0.10"}, {"2620:100::11"});
   const auto corpus = builder.corpus();
-  ASSERT_NE(corpus.domains_of(p("20.1.1.0/24")), nullptr);
-  ASSERT_NE(corpus.domains_of(p("20.0.0.0/8")), nullptr);
-  EXPECT_EQ(corpus.domains_of(p("20.1.1.0/24"))->size(), 1u);
-  EXPECT_EQ(corpus.domains_of(p("20.0.0.0/8"))->size(), 1u);
+  EXPECT_EQ(corpus.domains_of(p("20.1.1.0/24")).size(), 1u);
+  EXPECT_EQ(corpus.domains_of(p("20.0.0.0/8")).size(), 1u);
+  EXPECT_EQ(corpus.stats().v4_hosts, 2u);
+  EXPECT_EQ(corpus.stats().v6_hosts, 2u);
 }
 
 TEST(DualStackCorpus, HostsOfExcludesNestedAnnouncements) {
@@ -107,6 +121,57 @@ TEST(DualStackCorpus, HostsOfExcludesNestedAnnouncements) {
   EXPECT_EQ(corpus.hosts_of(p("20.0.0.0/8")).size(), 1u);
   EXPECT_EQ(corpus.hosts_of(p("20.1.1.0/24")).size(), 1u);
   EXPECT_TRUE(corpus.hosts_of(p("21.0.0.0/8")).empty());
+}
+
+TEST(DualStackCorpus, DuplicateAndSharedAddressesCountOnce) {
+  ScenarioBuilder builder;
+  builder.announce("20.1.1.0/24", 65001).announce("2620:100::/48", 65101);
+  // One address listed twice in one entry, and one address shared by
+  // three domains.
+  builder.host("twice.example.org", {"20.1.1.10", "20.1.1.10"}, {"2620:100::10"});
+  builder.host("s1.example.org", {"20.1.1.20"}, {"2620:100::20"});
+  builder.host("s2.example.org", {"20.1.1.20"}, {"2620:100::20"});
+  builder.host("s3.example.org", {"20.1.1.20"}, {"2620:100::21"});
+  const auto corpus = builder.corpus();
+  EXPECT_EQ(corpus.stats().v4_hosts, 2u);
+  EXPECT_EQ(corpus.stats().v6_hosts, 3u);
+  EXPECT_EQ(corpus.stats().host_domain_edges, 4u + 4u);
+  const HostRange hosts = corpus.hosts_of(p("20.1.1.0/24"));
+  ASSERT_EQ(hosts.size(), 2u);
+  EXPECT_EQ(hosts.address(0), IPAddress::must_parse("20.1.1.10"));
+  EXPECT_EQ(hosts.domains(0).size(), 1u);
+  EXPECT_EQ(hosts.address(1), IPAddress::must_parse("20.1.1.20"));
+  EXPECT_EQ(hosts.domains(1).size(), 3u);
+}
+
+TEST(DualStackCorpus, EmptySnapshotBuildsEmptyViews) {
+  ScenarioBuilder builder;
+  builder.announce("20.1.1.0/24", 65001).announce("2620:100::/48", 65101);
+  const auto corpus = builder.corpus();
+  EXPECT_EQ(corpus.ds_domain_count(), 0u);
+  EXPECT_EQ(corpus.stats().v4_hosts, 0u);
+  EXPECT_EQ(corpus.stats().v6_hosts, 0u);
+  EXPECT_EQ(corpus.stats().host_domain_edges, 0u);
+  EXPECT_TRUE(corpus.hosts(Family::v4).empty());
+  EXPECT_TRUE(corpus.hosts_of(p("20.1.1.0/24")).empty());
+  EXPECT_TRUE(corpus.domains_within(p("0.0.0.0/0")).empty());
+  EXPECT_EQ(corpus.detect_index().v4.prefix_count(), 0u);
+}
+
+TEST(DualStackCorpus, DomainsWithinSpansNestedAnnouncements) {
+  ScenarioBuilder builder;
+  builder.announce("20.0.0.0/8", 65001).announce("20.1.1.0/24", 65002);
+  builder.announce("2620:100::/32", 65101);
+  builder.host("specific.example.org", {"20.1.1.10"}, {"2620:100::10"});
+  builder.host("broad.example.org", {"20.1.200.10"}, {"2620:100::11"});
+  builder.host("far.example.org", {"20.200.0.10"}, {"2620:100::12"});
+  const auto corpus = builder.corpus();
+  // 20.1.0.0/16 lies inside the /8 and covers the whole /24.
+  EXPECT_EQ(corpus.domains_within(p("20.1.0.0/16")).size(), 2u);
+  EXPECT_EQ(corpus.domains_within(p("20.0.0.0/8")).size(), 3u);
+  EXPECT_EQ(corpus.domains_within(p("0.0.0.0/0")).size(), 3u);
+  EXPECT_EQ(corpus.domains_within(p("20.1.1.0/24")).size(), 1u);
+  EXPECT_TRUE(corpus.domains_within(p("20.2.0.0/16")).empty());
 }
 
 TEST(DualStackCorpus, DomainsWithinUsesHostGranularity) {

@@ -40,19 +40,17 @@ TEST(SetCorpus, DuplicateAddsCollapse) {
   corpus.add(p("20.1.0.0/16"), 5);
   corpus.add(p("2620:100::/48"), 5);
   corpus.finalize();
-  const DomainSet* set = corpus.domains_of(p("20.1.0.0/16"));
-  ASSERT_NE(set, nullptr);
-  EXPECT_EQ(set->size(), 1u);
-  EXPECT_EQ(corpus.prefixes_of(5, Family::v4).size(), 1u);
+  EXPECT_EQ(corpus.domains_of(p("20.1.0.0/16")).size(), 1u);
+  EXPECT_EQ(corpus.detect_index().v4.postings_of(5).size(), 1u);
 }
 
 TEST(SetCorpus, UnknownLookupsAreEmpty) {
   SetCorpus corpus;
   corpus.add(p("20.1.0.0/16"), 1);
   corpus.finalize();
-  EXPECT_EQ(corpus.domains_of(p("20.9.0.0/16")), nullptr);
-  EXPECT_TRUE(corpus.prefixes_of(99, Family::v4).empty());
-  EXPECT_TRUE(corpus.prefixes_of(1, Family::v6).empty());
+  EXPECT_TRUE(corpus.domains_of(p("20.9.0.0/16")).empty());
+  EXPECT_TRUE(corpus.detect_index().v4.postings_of(99).empty());
+  EXPECT_TRUE(corpus.detect_index().v6.postings_of(1).empty());
   EXPECT_TRUE(detect_sibling_prefixes(corpus).empty());  // no v6 side at all
 }
 
@@ -70,8 +68,9 @@ TEST(SetCorpus, BestMatchSemanticsMatchDnsCorpus) {
 
   SetCorpus generic;
   for (const Family family : {Family::v4, Family::v6}) {
-    for (const auto& [prefix, domains] : dns_corpus.prefix_domains(family)) {
-      for (const DomainId id : domains) generic.add(prefix, id);
+    const DetectIndex::Side& side = dns_corpus.detect_index().side(family);
+    for (std::uint32_t dense = 0; dense < side.prefix_count(); ++dense) {
+      for (const DomainId id : side.elements_of(dense)) generic.add(side.prefixes[dense], id);
     }
   }
   generic.finalize();
@@ -87,8 +86,23 @@ TEST(SetCorpus, AddAfterFinalizeThrows) {
   EXPECT_TRUE(corpus.finalized());
   EXPECT_THROW(corpus.add(p("20.2.0.0/16"), 2), std::logic_error);
   // The rejected add must not have corrupted anything.
-  EXPECT_EQ(corpus.domains_of(p("20.2.0.0/16")), nullptr);
+  EXPECT_TRUE(corpus.domains_of(p("20.2.0.0/16")).empty());
   EXPECT_EQ(corpus.detect_index().v4.prefix_count(), 1u);
+}
+
+TEST(SetCorpus, MaxElementIdIsRejected) {
+  // The posting CSR needs an offset at id + 1, which wraps to 0 in 32-bit
+  // arithmetic for the largest id (DetectIndex::kElementLimit): that one
+  // id is refused, loudly, in both families.
+  SetCorpus corpus;
+  EXPECT_THROW(corpus.add(p("20.1.0.0/16"), 0xFFFFFFFFu), std::out_of_range);
+  EXPECT_THROW(corpus.add(p("2620:100::/48"), 0xFFFFFFFFu), std::out_of_range);
+  // Nothing was recorded, and the corpus still works.
+  corpus.add(p("20.1.0.0/16"), 7);
+  corpus.add(p("2620:100::/48"), 7);
+  corpus.finalize();
+  EXPECT_EQ(corpus.detect_index().v4.element_count(), 8u);
+  EXPECT_EQ(detect_sibling_prefixes(corpus).size(), 1u);
 }
 
 TEST(SetCorpus, DetectIndexRequiresFinalize) {

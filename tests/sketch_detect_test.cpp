@@ -232,19 +232,19 @@ TEST(SketchEstimator, ExactOnCorpusHostSets) {
   // Single-set estimates between cached host sets: exact whenever both
   // sets fit in k, within the margin always.
   std::size_t checked = 0;
-  std::vector<const core::DomainSet*> hosts;
+  std::vector<core::DomainSpan> hosts;
   for (const Family family : {Family::v4, Family::v6}) {
-    for (const auto& [prefix, domains] : corpus.prefix_domains(family)) {
-      for (const auto& host : corpus.hosts_of(prefix)) hosts.push_back(&host.domains);
-    }
+    const core::HostRange rows = corpus.hosts(family);
+    for (std::size_t row = 0; row < rows.size(); ++row) hosts.push_back(rows.domains(row));
   }
   ASSERT_GT(hosts.size(), 1u);
   for (std::size_t i = 0; i + 1 < hosts.size() && checked < 200; i += 3, ++checked) {
-    const core::DomainSet* a[] = {hosts[i]};
-    const core::DomainSet* b[] = {hosts[i + 1]};
+    const core::DomainSpan a[] = {hosts[i]};
+    const core::DomainSpan b[] = {hosts[i + 1]};
     const double est = estimator.estimate_union_jaccard(a, b);
-    const double exact = core::jaccard(*hosts[i], *hosts[i + 1]);
-    if (hosts[i]->size() <= estimator.params().k && hosts[i + 1]->size() <= estimator.params().k) {
+    const double exact = core::jaccard(core::DomainSet(hosts[i].begin(), hosts[i].end()),
+                                       core::DomainSet(hosts[i + 1].begin(), hosts[i + 1].end()));
+    if (hosts[i].size() <= estimator.params().k && hosts[i + 1].size() <= estimator.params().k) {
       EXPECT_DOUBLE_EQ(est, exact);
     } else {
       EXPECT_NEAR(est, exact, estimator.params().margin);
@@ -262,19 +262,19 @@ TEST(SketchEstimator, UnionEstimatesMatchUncachedSets) {
   const auto corpus = core::DualStackCorpus::build(snapshot, universe.rib());
   const SketchEstimator estimator(corpus);
 
-  std::vector<const core::DomainSet*> cached;
-  for (const auto& [prefix, domains] : corpus.prefix_domains(Family::v4)) {
-    for (const auto& host : corpus.hosts_of(prefix)) cached.push_back(&host.domains);
-    if (cached.size() >= 4) break;
+  const core::HostRange rows = corpus.hosts(Family::v4);
+  ASSERT_GE(rows.size(), 4u);
+  std::vector<core::DomainSpan> cached;
+  std::vector<core::DomainSet> copies;
+  for (std::size_t row = 0; row < 4; ++row) {
+    cached.push_back(rows.domains(row));
+    copies.emplace_back(cached.back().begin(), cached.back().end());
   }
-  ASSERT_GE(cached.size(), 4u);
-  const std::vector<core::DomainSet> copies = {*cached[0], *cached[1], *cached[2], *cached[3]};
-  const core::DomainSet* copy_ptrs[] = {&copies[0], &copies[1], &copies[2], &copies[3]};
 
-  const core::DomainSet* a_cached[] = {cached[0], cached[1]};
-  const core::DomainSet* b_cached[] = {cached[2], cached[3]};
-  const core::DomainSet* a_fly[] = {copy_ptrs[0], copy_ptrs[1]};
-  const core::DomainSet* b_fly[] = {copy_ptrs[2], copy_ptrs[3]};
+  const core::DomainSpan a_cached[] = {cached[0], cached[1]};
+  const core::DomainSpan b_cached[] = {cached[2], cached[3]};
+  const core::DomainSpan a_fly[] = {copies[0], copies[1]};
+  const core::DomainSpan b_fly[] = {copies[2], copies[3]};
   EXPECT_EQ(std::bit_cast<std::uint64_t>(estimator.estimate_union_jaccard(a_cached, b_cached)),
             std::bit_cast<std::uint64_t>(estimator.estimate_union_jaccard(a_fly, b_fly)));
 }

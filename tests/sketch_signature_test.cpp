@@ -34,15 +34,19 @@ Prefix p(const char* text) { return Prefix::must_parse(text); }
 /// whose v6 side mirrors them (one /48 per set), so both families can be
 /// signed from the same fixtures.
 core::DetectIndex index_of(const std::vector<DomainSet>& sets) {
-  std::unordered_map<Prefix, DomainSet> v4;
-  std::unordered_map<Prefix, DomainSet> v6;
+  std::vector<core::DetectIndex::Edge> edges;
   for (std::size_t i = 0; i < sets.size(); ++i) {
-    v4[Prefix::of(IPAddress(IPv4Address::from_octets(10, static_cast<std::uint8_t>(i / 256),
-                                                     static_cast<std::uint8_t>(i % 256), 0)),
-                  24)] = sets[i];
-    v6[p(("2001:db8:" + std::to_string(i) + "::/48").c_str())] = sets[i];
+    const Prefix v4 =
+        Prefix::of(IPAddress(IPv4Address::from_octets(10, static_cast<std::uint8_t>(i / 256),
+                                                      static_cast<std::uint8_t>(i % 256), 0)),
+                   24);
+    const Prefix v6 = p(("2001:db8:" + std::to_string(i) + "::/48").c_str());
+    for (const DomainId element : sets[i]) {
+      edges.push_back({v4, element});
+      edges.push_back({v6, element});
+    }
   }
-  return core::DetectIndex::build(v4, v6);
+  return core::DetectIndex::build(std::move(edges));
 }
 
 double exact_jaccard(const DomainSet& a, const DomainSet& b) {
