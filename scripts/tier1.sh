@@ -58,11 +58,14 @@ cmake --build build-tsan -j "$JOBS" --target core_detect_parallel_test \
 # fields), so this stage doubles as a bounded fuzz run on both CSV
 # parsers. The corpus, reference-corpus, SetCorpus and SP-Tuner suites
 # drive the sorted-edge build's uint32 offset arithmetic over its CSRs
-# and SP-Tuner's spans into them.
+# and SP-Tuner's spans into them; the SP-Tuner reference suite drives
+# the tuner's row indexes into the host ranges and its per-domain mask
+# scratch on seeded months.
 cmake -B build-asan -S . -DSP_SANITIZE=address,undefined
 cmake --build build-asan -j "$JOBS" --target io_csv_test \
   he_happy_eyeballs_test pipeline_manifest_test \
-  core_corpus_detect_test core_corpus_reference_test core_setcorpus_test core_sptuner_test
+  core_corpus_detect_test core_corpus_reference_test core_setcorpus_test core_sptuner_test \
+  core_sptuner_reference_test
 (cd build-asan && ctest --output-on-failure -j "$JOBS" \
   -R 'Csv|HappyEyeballs|PipelineManifest|DualStackCorpus|DetectSiblings|SetCorpus|SpTuner|CorpusReference')
 

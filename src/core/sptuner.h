@@ -11,6 +11,31 @@
 // domains ("UpdateBranches" in the paper's pseudocode), so no domain is
 // lost by tuning.
 //
+// How a step is scored. A side is its prefix plus an ascending list of
+// row indexes into the announcement's HostRange (addresses ascending), so
+// a child is one partition_point on the next prefix bit and nothing is
+// copied. One counting pass marks the domains of both sides' rows in a
+// per-worker scratch — a mask byte per domain id plus a touched list —
+// with one bit each for the v4 low child, v4 high child, v6 low child and
+// v6 high child. A 16-bucket histogram of the masks then gives the union
+// and intersection sizes of every (v4 option, v6 option) combination, and
+// each is scored with the same similarity_from_sizes call, iteration
+// order and depth tie rule as the item-copying oracle in
+// tests/reference_sptuner.h, so results are bit-identical to it.
+//
+// Chain jumps. A step is a chain step when every side that can still
+// descend keeps all its rows in one child. In a chain step every
+// combination has the current unions, so it scores exactly the current
+// value; the depth rule takes every descending side's child, and no row
+// is lost, so no branch is queued. A run of chain steps therefore
+// collapses into one jump of k levels, k being the minimum over the
+// descending sides of min(threshold, common prefix length of the side's
+// first and last row) minus the side's length. The jump must be
+// lockstep: a side that jumped on past the level where the other side
+// splits could offer its own split in that same step, so both splits
+// would be chosen jointly instead of one after the other, and other
+// branches would be queued.
+//
 // SP-Tuner-LS (Algorithm 2) evaluates less-specific covering prefixes
 // instead, walking up a bounded number of levels and stopping early when
 // the covering announcement's origin AS changes. The paper (Figure 22)
@@ -22,7 +47,6 @@
 
 #include "bgp/rib.h"
 #include "core/detect.h"
-#include "core/similarity_estimator.h"
 
 namespace sp::core {
 
@@ -32,14 +56,6 @@ struct SpTunerConfig {
   /// pairs; using the input lengths disables tuning.
   unsigned v4_threshold = 28;
   unsigned v6_threshold = 96;
-  /// Optional candidate filter: combinations whose estimated Jaccard plus
-  /// `estimator_margin` stays below the running best skip the exact
-  /// evaluation. Results are unchanged as long as the estimator's error
-  /// stays within the margin (see sketch::SketchEstimator). The estimator
-  /// must outlive the tuner and is shared across tuning threads, so its
-  /// implementation must be thread-safe.
-  const SimilarityEstimator* estimator = nullptr;
-  double estimator_margin = 0.3;
 };
 
 struct SpTunerResult {
@@ -60,39 +76,17 @@ class SpTunerMs {
 
   /// Refines every pair and merges the outputs. Pairs are independent, so
   /// `threads` workers (0 picks the hardware concurrency) produce the same
-  /// result as the serial default.
+  /// result as the serial default. Each worker builds its own scratch on
+  /// its own thread.
   [[nodiscard]] SpTunerResult tune_all(std::span<const SiblingPair> pairs,
                                        unsigned threads = 1) const;
 
  private:
-  /// One populated host: its address and its row of the corpus's
-  /// host→domains CSR, held as pointer + length so an Item stays 32
-  /// bytes (children_of copies Items at every refinement step).
-  struct Item {
-    IPAddress host;
-    std::uint32_t domain_count = 0;
-    const DomainId* domains = nullptr;
+  /// Per-worker counting scratch (defined in sptuner.cpp).
+  struct Scratch;
 
-    [[nodiscard]] DomainSpan domain_span() const noexcept { return {domains, domain_count}; }
-  };
-  static_assert(sizeof(Item) <= 32);
-  struct Side {
-    Prefix prefix;
-    std::vector<Item> items;
-  };
-  struct Task {
-    Side v4;
-    Side v6;
-  };
-
-  [[nodiscard]] static DomainSet domains_of(std::span<const Item> items);
-  /// The items' domain rows, in item order — the estimator input (the
-  /// rows point into the corpus, so estimator caches keyed by row address
-  /// stay valid).
-  [[nodiscard]] static std::vector<DomainSpan> domain_spans(std::span<const Item> items);
-  [[nodiscard]] bool can_descend(const Side& side, unsigned threshold) const;
-  /// Child sides with non-empty item partitions (0, 1 or 2 entries).
-  [[nodiscard]] static std::vector<Side> children_of(const Side& side);
+  [[nodiscard]] std::vector<SiblingPair> tune_pair(const SiblingPair& pair,
+                                                   Scratch& scratch) const;
 
   const DualStackCorpus* corpus_;
   SpTunerConfig config_;
@@ -103,10 +97,6 @@ struct SpTunerLsConfig {
   /// 4 for IPv6).
   unsigned v4_levels_up = 1;
   unsigned v6_levels_up = 4;
-  /// Same contract as SpTunerConfig::estimator — covering pairs whose
-  /// estimate plus margin cannot beat the incumbent skip the exact pass.
-  const SimilarityEstimator* estimator = nullptr;
-  double estimator_margin = 0.3;
 };
 
 class SpTunerLs {

@@ -1,6 +1,9 @@
 // Tests for the multi-threaded SP-Tuner: tune_all on several workers
-// agrees exactly with the serial default on the synthetic workload.
+// agrees bit for bit with the serial default on the synthetic workload.
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
 
 #include "core/sptuner.h"
 #include "synth/universe.h"
@@ -32,7 +35,11 @@ TEST_P(SpTunerParallel, MatchesSerialExactly) {
   ASSERT_EQ(parallel.pairs.size(), serial.pairs.size());
   for (std::size_t i = 0; i < serial.pairs.size(); ++i) {
     EXPECT_EQ(parallel.pairs[i], serial.pairs[i]);
-    EXPECT_DOUBLE_EQ(parallel.pairs[i].similarity, serial.pairs[i].similarity);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(parallel.pairs[i].similarity),
+              std::bit_cast<std::uint64_t>(serial.pairs[i].similarity));
+    EXPECT_EQ(parallel.pairs[i].shared_domains, serial.pairs[i].shared_domains);
+    EXPECT_EQ(parallel.pairs[i].v4_domain_count, serial.pairs[i].v4_domain_count);
+    EXPECT_EQ(parallel.pairs[i].v6_domain_count, serial.pairs[i].v6_domain_count);
   }
 }
 

@@ -2,10 +2,8 @@
 // sketch detection engine must produce *byte-identical* pair lists to the
 // exact engine — similarity doubles compared at the bit level — on every
 // corpus, metric, thread count and seed tested here. Also covers the run
-// counters (each source counted once, whichever path it takes), the
-// SketchEstimator plugged into SP-Tuner (results unchanged, estimates
-// within margin), and the synth `scale` knob the scale benchmarks build
-// on.
+// counters (each source counted once, whichever path it takes) and the
+// synth `scale` knob the scale benchmarks build on.
 #include "sketch/detect_sketch.h"
 
 #include <gtest/gtest.h>
@@ -17,8 +15,6 @@
 #include <vector>
 
 #include "core/detect.h"
-#include "core/sptuner.h"
-#include "sketch/estimator.h"
 #include "synth/universe.h"
 
 namespace sp::sketch {
@@ -218,95 +214,6 @@ TEST(SketchDetect, EmptyAndOneSidedCorpora) {
   v4_only.add(p("20.1.0.0/16"), 1);
   v4_only.finalize();
   EXPECT_TRUE(sketch::detect_sibling_prefixes(v4_only).empty());
-}
-
-// --- SketchEstimator + SP-Tuner integration ---
-
-TEST(SketchEstimator, ExactOnCorpusHostSets) {
-  const synth::SyntheticInternet universe(small_config());
-  const auto snapshot = universe.snapshot_at(universe.month_count() - 1);
-  const auto corpus = core::DualStackCorpus::build(snapshot, universe.rib());
-  const SketchEstimator estimator(corpus);
-  EXPECT_GT(estimator.cached_signatures(), 0u);
-
-  // Single-set estimates between cached host sets: exact whenever both
-  // sets fit in k, within the margin always.
-  std::size_t checked = 0;
-  std::vector<core::DomainSpan> hosts;
-  for (const Family family : {Family::v4, Family::v6}) {
-    const core::HostRange rows = corpus.hosts(family);
-    for (std::size_t row = 0; row < rows.size(); ++row) hosts.push_back(rows.domains(row));
-  }
-  ASSERT_GT(hosts.size(), 1u);
-  for (std::size_t i = 0; i + 1 < hosts.size() && checked < 200; i += 3, ++checked) {
-    const core::DomainSpan a[] = {hosts[i]};
-    const core::DomainSpan b[] = {hosts[i + 1]};
-    const double est = estimator.estimate_union_jaccard(a, b);
-    const double exact = core::jaccard(core::DomainSet(hosts[i].begin(), hosts[i].end()),
-                                       core::DomainSet(hosts[i + 1].begin(), hosts[i + 1].end()));
-    if (hosts[i].size() <= estimator.params().k && hosts[i + 1].size() <= estimator.params().k) {
-      EXPECT_DOUBLE_EQ(est, exact);
-    } else {
-      EXPECT_NEAR(est, exact, estimator.params().margin);
-    }
-  }
-  EXPECT_GT(checked, 0u);
-}
-
-TEST(SketchEstimator, UnionEstimatesMatchUncachedSets) {
-  // The same contents through the cache (corpus-owned sets) and the
-  // on-the-fly path (local copies at different addresses) must estimate
-  // identically: signatures are functions of contents, not addresses.
-  const synth::SyntheticInternet universe(small_config());
-  const auto snapshot = universe.snapshot_at(universe.month_count() - 1);
-  const auto corpus = core::DualStackCorpus::build(snapshot, universe.rib());
-  const SketchEstimator estimator(corpus);
-
-  const core::HostRange rows = corpus.hosts(Family::v4);
-  ASSERT_GE(rows.size(), 4u);
-  std::vector<core::DomainSpan> cached;
-  std::vector<core::DomainSet> copies;
-  for (std::size_t row = 0; row < 4; ++row) {
-    cached.push_back(rows.domains(row));
-    copies.emplace_back(cached.back().begin(), cached.back().end());
-  }
-
-  const core::DomainSpan a_cached[] = {cached[0], cached[1]};
-  const core::DomainSpan b_cached[] = {cached[2], cached[3]};
-  const core::DomainSpan a_fly[] = {copies[0], copies[1]};
-  const core::DomainSpan b_fly[] = {copies[2], copies[3]};
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(estimator.estimate_union_jaccard(a_cached, b_cached)),
-            std::bit_cast<std::uint64_t>(estimator.estimate_union_jaccard(a_fly, b_fly)));
-}
-
-TEST(SketchEstimator, TunerResultsUnchangedWithEstimatorFilter) {
-  const synth::SyntheticInternet universe(small_config());
-  const auto snapshot = universe.snapshot_at(universe.month_count() - 1);
-  const auto corpus = core::DualStackCorpus::build(snapshot, universe.rib());
-  const auto pairs = core::detect_sibling_prefixes(corpus, {});
-  ASSERT_FALSE(pairs.empty());
-  const SketchEstimator estimator(corpus);
-
-  {  // SP-Tuner-MS
-    const core::SpTunerMs baseline(corpus);
-    const core::SpTunerMs filtered(corpus, {.estimator = &estimator});
-    const auto expected = baseline.tune_all(pairs);
-    const auto actual = filtered.tune_all(pairs);
-    EXPECT_EQ(actual.input_count, expected.input_count);
-    EXPECT_EQ(actual.changed_count, expected.changed_count);
-    expect_byte_identical(actual.pairs, expected.pairs);
-    // And through the parallel path with the estimator shared across
-    // threads (it must be safely readable concurrently).
-    expect_byte_identical(filtered.tune_all(pairs, 4).pairs, expected.pairs);
-  }
-  {  // SP-Tuner-LS
-    const core::SpTunerLs baseline(corpus, universe.rib());
-    const core::SpTunerLs filtered(corpus, universe.rib(), {.estimator = &estimator});
-    const auto expected = baseline.tune_all(pairs);
-    const auto actual = filtered.tune_all(pairs);
-    EXPECT_EQ(actual.changed_count, expected.changed_count);
-    expect_byte_identical(actual.pairs, expected.pairs);
-  }
 }
 
 // --- synth scale knob ---

@@ -1,8 +1,7 @@
 // Tests for the bottom-k signature layer: estimator exactness on small
 // sets, the probabilistic error bound on large sets, shard-parallel build
 // determinism, the canonical "SPSK" serialization (round-trip plus a
-// battery of corrupt-blob rejections), LSH candidate correctness, and the
-// SketchEstimator cache behaviour.
+// battery of corrupt-blob rejections) and LSH candidate correctness.
 #include "sketch/signature.h"
 
 #include <gtest/gtest.h>
@@ -18,7 +17,6 @@
 #include "core/detect.h"
 #include "core/detect_index.h"
 #include "core/worker_pool.h"
-#include "sketch/estimator.h"
 #include "sketch/hash.h"
 #include "sketch/lsh.h"
 
