@@ -6,7 +6,6 @@
 #include <random>
 
 #include "bench_common.h"
-#include "bench_json_main.h"
 #include "dns/wire.h"
 #include "mrt/codec.h"
 #include "he/happy_eyeballs.h"
@@ -215,4 +214,4 @@ BENCHMARK(BM_HappyEyeballsRace);
 
 }  // namespace
 
-int main(int argc, char** argv) { return spbench::benchmark_json_main(argc, argv); }
+BENCHMARK_MAIN();

@@ -8,14 +8,13 @@
 //   * warm_resume: every checkpoint valid, measuring the fixed cost of a
 //     no-op resume (universe rebuild + hash validation of every artifact).
 //
-// `--json out.json` writes google-benchmark JSON (see bench_json_main.h);
-// BENCH_pipeline.json at the repo root is a checked-in run of this binary.
+// A console tool: perfbench's `campaign` workload is the benchmark of
+// record for the campaign path (perfbench/README.md).
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
 #include <string>
 
-#include "bench_json_main.h"
 #include "pipeline/campaign.h"
 
 namespace {
@@ -36,7 +35,6 @@ void report_counters(benchmark::State& state, const pipeline::CampaignReport& re
   state.counters["stages"] =
       static_cast<double>(report.done_count + report.cached_count);
   state.counters["cached"] = static_cast<double>(report.cached_count);
-  spbench::record_peak_rss(state);
 }
 
 void run_cold(benchmark::State& state, unsigned threads) {
@@ -86,4 +84,4 @@ BENCHMARK(BM_CampaignWarmResume)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-int main(int argc, char** argv) { return spbench::benchmark_json_main(argc, argv); }
+BENCHMARK_MAIN();

@@ -7,8 +7,8 @@
 //     it re-reads the published list for every question asked of it;
 //   * snapshot load cost: mmap'ing a .sibdb vs re-parsing the CSV.
 //
-// `--json out.json` writes google-benchmark JSON (see bench_json_main.h);
-// BENCH_serve.json at the repo root is a checked-in run of this binary.
+// A console tool: perfbench's `serve-reload` workload is the benchmark
+// of record for the serve path (perfbench/README.md).
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "bench_json_main.h"
 #include "core/sibling_list_io.h"
 #include "core/worker_pool.h"
 #include "serve/lookup.h"
@@ -172,4 +171,4 @@ BENCHMARK(BM_SnapshotActivate);
 
 }  // namespace
 
-int main(int argc, char** argv) { return spbench::benchmark_json_main(argc, argv); }
+BENCHMARK_MAIN();

@@ -1,20 +1,17 @@
-// Incremental vs from-scratch detection (google-benchmark): the ISSUE 8
-// acceptance numbers. BM_DetectScratch re-runs the exact engine on a
-// month's corpus; BM_StreamApplyLowChurn applies a single-edge delta to a
-// warm StreamDetector — the warm rolling path, which must come out ≥5×
+// Incremental vs from-scratch detection (google-benchmark).
+// BM_DetectScratch re-runs the exact engine on a month's corpus;
+// BM_StreamApplyLowChurn applies a single-edge delta to a warm
+// StreamDetector — the warm rolling path, which must come out ≥5×
 // faster — and BM_StreamApplyMonthDelta applies a real synth month
 // boundary. BM_StreamInit prices the cold start a resume gap pays.
 //
-// `--json out.json` writes google-benchmark JSON (bench_json_main.h);
-// BENCH_stream.json at the repo root is a checked-in run of this binary:
-//
-//   ./build/bench/bench_stream --json BENCH_stream.json
+// A console tool: perfbench's `campaign` workload, whose detect stages
+// chain this engine, is the benchmark of record (perfbench/README.md).
 #include <benchmark/benchmark.h>
 
 #include <memory>
 #include <vector>
 
-#include "bench_json_main.h"
 #include "core/corpus_delta.h"
 #include "core/detect.h"
 #include "stream/stream_detector.h"
@@ -102,7 +99,6 @@ void BM_DetectScratch(benchmark::State& state) {
     benchmark::DoNotOptimize(pairs);
   }
   state.counters["pairs"] = static_cast<double>(pairs);
-  spbench::record_peak_rss(state);
 }
 BENCHMARK(BM_DetectScratch)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
@@ -115,7 +111,6 @@ void BM_StreamInit(benchmark::State& state) {
     benchmark::DoNotOptimize(detector.pairs().size());
   }
   state.counters["pairs"] = static_cast<double>(detector.pairs().size());
-  spbench::record_peak_rss(state);
 }
 BENCHMARK(BM_StreamInit)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
@@ -142,7 +137,6 @@ void BM_StreamApplyLowChurn(benchmark::State& state) {
   state.counters["apply_index_ms"] = detector.last_stats().apply_index_ms;
   state.counters["rescan_ms"] = detector.last_stats().rescan_ms;
   state.counters["merge_ms"] = detector.last_stats().merge_ms;
-  spbench::record_peak_rss(state);
 }
 BENCHMARK(BM_StreamApplyLowChurn)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
@@ -164,10 +158,9 @@ void BM_StreamApplyMonthDelta(benchmark::State& state) {
   state.counters["dirty_sources"] = static_cast<double>(
       detector.last_stats().dirty_v4 + detector.last_stats().dirty_v6);
   state.counters["full_rescan"] = detector.last_stats().full_rescan ? 1.0 : 0.0;
-  spbench::record_peak_rss(state);
 }
 BENCHMARK(BM_StreamApplyMonthDelta)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-int main(int argc, char** argv) { return spbench::benchmark_json_main(argc, argv); }
+BENCHMARK_MAIN();

@@ -6,10 +6,12 @@
 // the incremental pair list is memcmp-compared (prefixes, bit-level
 // similarity doubles, counts) against core::detect_sibling_prefixes over
 // that month's corpus — the ISSUE 8 byte-identity contract, exercised
-// end-to-end on synth data. tier1.sh runs this as the stream smoke.
+// end-to-end on synth data. tier1.sh runs this as the stream smoke, and
+// with --scale 2 (replicated CDN edges) as the exact-engine scale
+// smoke.
 //
 // Run: ./build/examples/sp_stream_smoke [--months N] [--threads T]
-//      [--orgs N] [--scale N] [--sketch] [--quiet]
+//      [--orgs N] [--scale N] [--quiet]
 //
 // Exit code 0 when every month matched, 1 on a mismatch, 2 on usage.
 #include <chrono>
@@ -77,15 +79,12 @@ int main(int argc, char** argv) {
       config.organization_count = next();
     } else if (arg == "--scale") {
       config.scale = next();
-    } else if (arg == "--sketch") {
-      options.sketch = sketch::SketchParams{};
-      options.sketch_min_dirty = 0;
     } else if (arg == "--quiet") {
       quiet = true;
     } else {
       std::fprintf(stderr,
                    "usage: %s [--months N] [--threads T] [--orgs N] [--scale N]"
-                   " [--sketch] [--quiet]\n",
+                   " [--quiet]\n",
                    argv[0]);
       return 2;
     }
@@ -126,7 +125,7 @@ int main(int argc, char** argv) {
                   "stream %.0f ms vs exact %.0f ms\n",
                   month, detector.pairs().size(), stats.dirty_v4 + stats.dirty_v6,
                   stats.sources_total,
-                  stats.used_sketch ? " (sketch)" : (stats.full_rescan ? " (full)" : ""),
+                  stats.full_rescan ? " (full)" : "",
                   stream_ms, exact_ms);
     }
   }

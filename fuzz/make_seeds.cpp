@@ -21,7 +21,6 @@
 #include "netbase/prefix.h"
 #include "pipeline/manifest.h"
 #include "serve/sibdb.h"
-#include "sketch/signature.h"
 #include "stream/spdl.h"
 #include "synth/universe.h"
 
@@ -197,39 +196,6 @@ bool make_net_frame_seeds(const fs::path& root) {
   return seed("partial.bin", 3, {0x01, 0x03});
 }
 
-bool make_sketch_sig_seeds(const fs::path& root) {
-  // A valid "SPSK" blob from the project's own serializer: mixed small
-  // (complete) and over-k (truncated) signatures on both families.
-  std::vector<sp::core::DetectIndex::Edge> edges;
-  for (sp::core::DomainId element = 0; element < 10; ++element) {
-    edges.push_back({sp::Prefix::must_parse("192.0.2.0/24"), element});
-    edges.push_back({sp::Prefix::must_parse("2001:db8::/32"), element});
-  }
-  for (sp::core::DomainId element = 0; element < 200; ++element) {
-    edges.push_back({sp::Prefix::must_parse("198.51.100.0/24"), element});
-    edges.push_back({sp::Prefix::must_parse("2001:db8:1::/48"), element % 40});
-  }
-  const auto index = sp::core::DetectIndex::build(std::move(edges));
-  const sp::sketch::SketchParams params{.k = 16};
-  const std::string v4_blob =
-      sp::sketch::SignatureSet::build(index.v4, params).serialize();
-  const std::string v6_blob =
-      sp::sketch::SignatureSet::build(index.v6, params).serialize();
-  if (!write_seed(root / "sketch_sig", "v4.spsk", v4_blob)) return false;
-  if (!write_seed(root / "sketch_sig", "v6.spsk", v6_blob)) return false;
-
-  // The reject boundary: a truncated blob and a corrupt hash ordering.
-  if (!write_seed(root / "sketch_sig", "truncated.spsk",
-                  v4_blob.substr(0, v4_blob.size() / 2))) {
-    return false;
-  }
-  std::string corrupt = v4_blob;
-  // Zero the final hash (8 little-endian bytes): 0 can never follow a
-  // strictly ascending run, so this seed sits exactly on the reject path.
-  for (std::size_t i = corrupt.size() - 8; i < corrupt.size(); ++i) corrupt[i] = 0;
-  return write_seed(root / "sketch_sig", "corrupt.spsk", corrupt);
-}
-
 bool make_stream_delta_seeds(const fs::path& root) {
   // A real delta from the project's own differ: two snapshots with a
   // removal, a changed record, and an insertion between them.
@@ -309,8 +275,7 @@ int main(int argc, char** argv) {
   }
   const fs::path root = argv[1];
   if (!make_csv_seeds(root) || !make_mrt_seeds(root) || !make_manifest_seeds(root) ||
-      !make_sibdb_seeds(root) || !make_net_frame_seeds(root) || !make_sketch_sig_seeds(root) ||
-      !make_stream_delta_seeds(root)) {
+      !make_sibdb_seeds(root) || !make_net_frame_seeds(root) || !make_stream_delta_seeds(root)) {
     return 1;
   }
   std::printf("seed corpora written under %s\n", root.c_str());

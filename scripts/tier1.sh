@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
 # Tier-1 verification: full build + test suite, then a ThreadSanitizer
-# pass over the threaded engines (parallel detection, SP-Tuner, sketch
+# pass over the threaded engines (parallel detection, SP-Tuner, stream
 # detection, obs metrics/tracing), an ASan/UBSan pass over the
 # parser-heavy I/O (CSV fuzz round-trip, Happy Eyeballs, manifest
-# UTF-8) and the flat corpus build, a loopback end-to-end smoke of the sp_serve TCP front-end, a
-# sketch-vs-exact identity smoke on a scaled universe, an
-# incremental-vs-scratch stream identity smoke, a chaos soak smoke
-# (seeded fault injection against the serve path — plain with RSS/p99
-# bounds, under ASan, and in external mode against a real sp_serve —
-# plus a SIGINT-and-resume smoke on sp_pipeline), and the project
-# linter (sp_lint) over the whole tree.
+# UTF-8) and the flat corpus build, a loopback end-to-end smoke of the
+# sp_serve TCP front-end, stream-vs-exact identity smokes on a scaled
+# and a default universe, a chaos soak smoke (seeded fault injection
+# against the serve path — plain with RSS/p99 bounds, under ASan, and
+# in external mode against a real sp_serve — plus a SIGINT-and-resume
+# smoke on sp_pipeline), and the project linter (sp_lint) over the
+# whole tree.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -31,26 +31,24 @@ cmake --build build -j "$JOBS"
 # concurrent scrapes/serialization.
 # The net suites race the epoll workers: pipelined QUERY traffic over
 # several connections against RELOAD hot-swaps, slow-reader
-# backpressure, and the acceptor's inbox handoff. The sketch suites
-# race the shard-parallel signature build and the sketch detection
-# workers against each other (every test asserts byte-identity with
-# the exact engine, so a race would also surface as a wrong answer).
-# The stream suites race the delta re-scan workers (byte-identity with
-# the exact engine across thread counts) and delta hot-reloads against
-# concurrent sp_serve queries. The chaos soak suite races the entire
-# serving stack at once — probe threads, fault injection, RELOAD churn —
-# and the signal suite races the graceful-stop flag against the DAG
-# scheduler's in-flight stages.
+# backpressure, and the acceptor's inbox handoff. The detection suite
+# asserts byte-identity with the serial oracle at every thread count,
+# on a scale-3 universe too, so a race would also surface as a wrong
+# answer. The stream suites race the delta re-scan workers
+# (byte-identity with the exact engine across thread counts) and delta
+# hot-reloads against concurrent sp_serve queries. The chaos soak suite
+# races the entire serving stack at once — probe threads, fault
+# injection, RELOAD churn — and the signal suite races the graceful-stop
+# flag against the DAG scheduler's in-flight stages.
 cmake -B build-tsan -S . -DSP_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS" --target core_detect_parallel_test \
   core_sptuner_parallel_test serve_lookup_test serve_service_test \
   core_worker_pool_test pipeline_stage_graph_test pipeline_resume_test \
   obs_metrics_test obs_trace_test net_server_test net_protocol_test \
-  sketch_detect_test sketch_signature_test \
   stream_detector_test stream_spdl_test stream_serve_delta_test \
   chaos_scenario_test chaos_soak_test pipeline_signal_test
 (cd build-tsan && ctest --output-on-failure -j "$JOBS" \
-  -R 'DetectParallel|Parallel|Serve|PipelineStageGraph|PipelineResume\.SerialAndDag|PipelineSignal|WorkerPool|Obs|NetServer|NetProtocol|Sketch|Signature|Lsh|SynthScale|Stream|Chaos')
+  -R 'DetectParallel|Parallel|Serve|PipelineStageGraph|PipelineResume\.SerialAndDag|PipelineSignal|WorkerPool|Obs|NetServer|NetProtocol|Stream|Chaos')
 
 # Stage 3: memory-safety pass over the byte-level parsers and the flat
 # corpus under AddressSanitizer + UBSan. The CSV suite includes a seeded
@@ -125,13 +123,13 @@ if [ "$SIGPIPE_STATUS" -ne 0 ]; then
   exit 1
 fi
 
-# Stage 5: sketch-at-scale smoke — both detection engines on a scaled
-# universe (replicated hypergiant edge clusters, the regime the sketch
-# filter exists for); sp_sketch_scale exits non-zero on any byte
-# difference between the sketch and exact outputs. Small org/month
-# counts keep the universe build to a few seconds; the checked-in
-# BENCH_sketch.json carries the full scale-10 numbers.
-./build/examples/sp_sketch_scale --scale 2 --orgs 8 --months 3 --threads 2
+# Stage 5: scale smoke — the stream engine chained across three months
+# of a scale-2 universe (replicated hypergiant edge clusters, where each
+# element's posting list names a whole cluster of candidates), compared
+# with a from-scratch exact run every month; sp_stream_smoke exits
+# non-zero on the first byte difference. Small org/month counts keep
+# the universe build to a few seconds.
+./build/examples/sp_stream_smoke --scale 2 --orgs 8 --months 3 --threads 2
 
 # Stage 6: incremental-vs-scratch smoke — the stream engine chained
 # across three synthetic months, memcmp-compared against a from-scratch

@@ -42,19 +42,24 @@ DomainSpan SetCorpus::domains_of(const Prefix& prefix) const noexcept {
 
 namespace {
 
+/// One-shot detection: scan_sharded over every source of both
+/// directions, then the global sort + dedup.
 std::vector<SiblingPair> detect_indexed(const DetectIndex& index, const DetectOptions& options) {
   const auto run_start = std::chrono::steady_clock::now();
   WorkerPool pool(options.threads);
   DetectStats stats;
   stats.threads_used = pool.thread_count();
-  auto pairs = detail::detect_all(
-      pool, index, "detect", stats,
-      [&](Family from, std::uint32_t source, detail::ScanScratch& scratch,
-          std::vector<SiblingPair>& out, DetectStats& local) {
-        detail::scan_source(index.side(from),
-                            index.side(from == Family::v4 ? Family::v6 : Family::v4), from,
-                            options.metric, source, scratch, out, local);
-      });
+  std::vector<SiblingPair> pairs;
+  for (const Family from : {Family::v4, Family::v6}) {
+    const auto start = std::chrono::steady_clock::now();
+    detail::scan_sharded(pool, index, from, detail::all_sources(index.side(from)),
+                         options.metric, "detect", pairs, stats);
+    (from == Family::v4 ? stats.v4_direction_ms : stats.v6_direction_ms) =
+        detail::elapsed_ms(start);
+  }
+  const auto merge_start = std::chrono::steady_clock::now();
+  detail::sort_unique(pairs);
+  stats.merge_ms = detail::elapsed_ms(merge_start);
 
   // Registry updates once per run, never per prefix: aggregate counts and
   // one whole-run latency sample.

@@ -46,42 +46,21 @@ struct SiblingPair {
 
 /// Run counters of one detection pass, for the bench suite and capacity
 /// planning. The counting fields are deterministic (identical for every
-/// thread count); the wall times are not. The sketch engine
-/// (sp::sketch) fills the sketch block too; the exact engine leaves it
-/// zero.
+/// thread count); the wall times are not.
 struct DetectStats {
   std::uint64_t prefixes_scanned = 0;      // source prefixes examined, both directions
   std::uint64_t candidates_evaluated = 0;  // similarity evaluations
   std::uint64_t pairs_emitted = 0;         // best/tie pairs before cross-direction dedup
-  // Sketch engine: how each source was routed and what the filter cost.
-  std::uint64_t sources_fallback = 0;        // sources routed to the exact scan
-  std::uint64_t fallback_no_candidates = 0;  // ... because the LSH found none
-  std::uint64_t fallback_low_estimate = 0;   // ... because the best estimate < floor
-  std::uint64_t fallback_low_exact = 0;      // ... because the verified best < floor
-  std::uint64_t lsh_candidates = 0;          // candidates the LSH produced
-  std::uint64_t estimates_skipped = 0;       // merges pruned by the hit bound
-  std::uint64_t survivors_verified = 0;      // exact intersections computed
-  double max_estimate_error = 0.0;           // max |estimate - exact| observed
-  double signature_build_ms = 0.0;           // wall time, signatures + LSH
-  double v4_direction_ms = 0.0;              // wall time, v4→v6 direction
-  double v6_direction_ms = 0.0;              // wall time, v6→v4 direction
-  double merge_ms = 0.0;                     // final sort + dedup
+  double v4_direction_ms = 0.0;            // wall time, v4→v6 direction
+  double v6_direction_ms = 0.0;            // wall time, v6→v4 direction
+  double merge_ms = 0.0;                   // final sort + dedup
   unsigned threads_used = 0;
 
-  /// Adds `other`'s counters (the maximum for max_estimate_error); wall
-  /// times and threads_used are left alone.
+  /// Adds `other`'s counters; wall times and threads_used are left alone.
   void add_counters(const DetectStats& other) noexcept {
     prefixes_scanned += other.prefixes_scanned;
     candidates_evaluated += other.candidates_evaluated;
     pairs_emitted += other.pairs_emitted;
-    sources_fallback += other.sources_fallback;
-    fallback_no_candidates += other.fallback_no_candidates;
-    fallback_low_estimate += other.fallback_low_estimate;
-    fallback_low_exact += other.fallback_low_exact;
-    lsh_candidates += other.lsh_candidates;
-    estimates_skipped += other.estimates_skipped;
-    survivors_verified += other.survivors_verified;
-    max_estimate_error = std::max(max_estimate_error, other.max_estimate_error);
   }
 };
 

@@ -71,7 +71,7 @@ struct LoadGenReport {
   /// fixed `requests` count.
   std::vector<std::uint64_t> request_stream_hash;
 
-  /// The report as a JSON object (BENCH_net.json's format).
+  /// The report as a JSON object (`sp_loadgen --json`'s output).
   [[nodiscard]] std::string to_json(const LoadGenConfig& config) const;
 };
 

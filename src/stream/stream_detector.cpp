@@ -7,7 +7,6 @@
 
 #include "core/detect_scan.h"
 #include "obs/metrics.h"
-#include "sketch/scan_sketch.h"
 
 namespace sp::stream {
 
@@ -66,47 +65,19 @@ StreamDetector::StreamDetector(StreamOptions options)
 
 StreamDetector::~StreamDetector() { pairs_current_.sub(pairs_published_); }
 
-void StreamDetector::scan_sources(Family from, const std::vector<std::uint32_t>& sources,
-                                  const sketch::SketchIndex* sketch_index) {
-  const Family to = from == Family::v4 ? Family::v6 : Family::v4;
+void StreamDetector::scan_sources(Family from, const std::vector<std::uint32_t>& sources) {
   const core::DetectIndex& index = overlay_.index();
-  const core::DetectIndex::Side& from_side = index.side(from);
-  const core::DetectIndex::Side& to_side = index.side(to);
-
   std::vector<core::SiblingPair> emitted;
   const std::vector<std::size_t> offsets = core::detail::scan_sharded(
-      pool_, index, from, sources, "stream", emitted, stats_.scan,
-      [&](Family, std::uint32_t source, core::detail::ScanScratch& scratch,
-          std::vector<core::SiblingPair>& out, core::DetectStats& local) {
-        if (sketch_index != nullptr) {
-          sketch::scan_source_sketch(from_side, to_side, sketch_index->signatures(from),
-                                     sketch_index->signatures(to), sketch_index->lsh(to),
-                                     sketch_index->params(), from, options_.metric, source,
-                                     scratch, out, local);
-        } else {
-          core::detail::scan_source(from_side, to_side, from, options_.metric, source, scratch,
-                                    out, local);
-        }
-      });
+      pool_, index, from, sources, options_.metric, "stream", emitted, stats_.scan);
 
   EmissionMap& map = emissions(from);
+  const core::DetectIndex::Side& from_side = index.side(from);
   for (std::size_t i = 0; i < sources.size(); ++i) {
     map[from_side.prefixes[sources[i]]] = std::vector<core::SiblingPair>(
         emitted.begin() + static_cast<std::ptrdiff_t>(offsets[i]),
         emitted.begin() + static_cast<std::ptrdiff_t>(offsets[i + 1]));
   }
-}
-
-std::optional<sketch::SketchIndex> StreamDetector::sketch_for(std::size_t dirty_total) {
-  if (!options_.sketch || options_.metric != core::Metric::Jaccard ||
-      dirty_total < options_.sketch_min_dirty) {
-    return std::nullopt;
-  }
-  const auto signature_start = std::chrono::steady_clock::now();
-  auto sketch_index = sketch::SketchIndex::build(overlay_.index(), *options_.sketch, &pool_);
-  stats_.scan.signature_build_ms = elapsed_ms(signature_start);
-  stats_.used_sketch = true;
-  return sketch_index;
 }
 
 void StreamDetector::scan_all() {
@@ -117,11 +88,8 @@ void StreamDetector::scan_all() {
   const std::vector<std::uint32_t> v6_sources = core::detail::all_sources(index.v6);
   stats_.dirty_v4 = v4_sources.size();
   stats_.dirty_v6 = v6_sources.size();
-
-  const auto sketch_index = sketch_for(v4_sources.size() + v6_sources.size());
-  const sketch::SketchIndex* filter = sketch_index ? &*sketch_index : nullptr;
-  scan_sources(Family::v4, v4_sources, filter);
-  scan_sources(Family::v6, v6_sources, filter);
+  scan_sources(Family::v4, v4_sources);
+  scan_sources(Family::v6, v6_sources);
 }
 
 void StreamDetector::rebuild_pairs() {
@@ -265,10 +233,8 @@ void StreamDetector::apply(const core::CorpusDelta& delta) {
     for (const core::PrefixDelta& entry : delta.v4) emissions_v4_.erase(entry.prefix);
     for (const core::PrefixDelta& entry : delta.v6) emissions_v6_.erase(entry.prefix);
 
-    const auto sketch_index = sketch_for(dirty_total);
-    const sketch::SketchIndex* filter = sketch_index ? &*sketch_index : nullptr;
-    scan_sources(Family::v4, dirty_v4, filter);
-    scan_sources(Family::v6, dirty_v6, filter);
+    scan_sources(Family::v4, dirty_v4);
+    scan_sources(Family::v6, dirty_v6);
 
     // Post-scan emissions of the same touched sources (dead prefixes
     // have none): together with the pre-scan capture this is the full

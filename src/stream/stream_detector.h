@@ -22,8 +22,8 @@
 //
 // and every source outside dirty(F) sees bit-identical scan inputs —
 // its retained emission is the emission a from-scratch run would
-// produce. Dirty sources are re-scanned with the *same* scan_source
-// (same arithmetic, same kTieEpsilon tie rules); dead prefixes'
+// produce. Dirty sources are re-scanned by the *same* scan_sharded as
+// the batch engine (same arithmetic, same kTieEpsilon tie rules); dead prefixes'
 // emissions are dropped; and the sorted pair list is patched in one
 // linear merge pass over exactly the keys whose emitting sources were
 // touched (a key's presence is re-derived from the two per-source
@@ -32,14 +32,10 @@
 // a from-scratch exact run over the post-delta index — property-tested
 // across seeds, event mixes, and thread counts.
 //
-// Large dirty sets can optionally route through the sketch LSH filter
-// (sketch/scan_sketch.h, StreamOptions::sketch): signatures are rebuilt
-// over the post-delta index and each dirty source takes the shared
-// sketch scan, which preserves byte-identity by the same argument as the
-// batch sketch engine. When the dirty set approaches the whole universe,
-// dirty bookkeeping stops paying; past full_rescan_fraction the engine
-// just re-scans every source (still skipping the corpus rebuild the
-// batch path would pay).
+// When the dirty set approaches the whole universe, dirty bookkeeping
+// stops paying; past full_rescan_fraction the engine just re-scans
+// every source (still skipping the corpus rebuild the batch path would
+// pay).
 //
 // Threading: the detector owns a WorkerPool and runs its (re-)scans on
 // the core detection driver (core/detect_scan.h), which returns each
@@ -50,7 +46,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -59,7 +54,6 @@
 #include "core/detect_overlay.h"
 #include "core/worker_pool.h"
 #include "obs/metrics.h"
-#include "sketch/detect_sketch.h"
 
 namespace sp::stream {
 
@@ -67,12 +61,6 @@ struct StreamOptions {
   core::Metric metric = core::Metric::Jaccard;
   /// Worker threads for (re-)scans; 0 picks hardware concurrency.
   unsigned threads = 1;
-  /// When set, dirty re-scans route through the LSH filter with these
-  /// parameters once the dirty set reaches sketch_min_dirty sources
-  /// (building signatures over the new index costs O(corpus), so tiny
-  /// dirty sets stay exact).
-  std::optional<sketch::SketchParams> sketch = std::nullopt;
-  std::size_t sketch_min_dirty = 4096;
   /// When dirty sources exceed this fraction of all sources, re-scan
   /// everything instead of tracking per-source dirtiness.
   double full_rescan_fraction = 0.5;
@@ -86,8 +74,7 @@ struct StreamApplyStats {
   std::size_t dirty_v6 = 0;         // v6 sources re-scanned
   std::size_t sources_total = 0;    // post-delta universe size, both sides
   bool full_rescan = false;         // dirty set crossed full_rescan_fraction
-  bool used_sketch = false;         // dirty re-scan took the LSH filter
-  core::DetectStats scan;           // re-scan counters (sketch ones when used_sketch)
+  core::DetectStats scan;           // re-scan counters
   double apply_index_ms = 0.0;      // overlay apply + dirty-set derivation
   double rescan_ms = 0.0;
   double merge_ms = 0.0;
@@ -130,13 +117,8 @@ class StreamDetector {
 
   /// Re-scans `sources` (sorted dense ids on side `from`) against the
   /// current index, replacing their entries in the direction's emission
-  /// map. A non-null `sketch_index` routes each source through the shared
-  /// sketch scan.
-  void scan_sources(Family from, const std::vector<std::uint32_t>& sources,
-                    const sketch::SketchIndex* sketch_index);
-  /// The LSH index for a re-scan of `dirty_total` sources, or nullopt
-  /// when the re-scan stays exact.
-  [[nodiscard]] std::optional<sketch::SketchIndex> sketch_for(std::size_t dirty_total);
+  /// map.
+  void scan_sources(Family from, const std::vector<std::uint32_t>& sources);
   void scan_all();
   void rebuild_pairs();
   /// Moves the `stream.pairs_current` gauge by the change in pairs_.size().

@@ -701,9 +701,10 @@ SyntheticInternet::DomainPlacement SyntheticInternet::place(const DomainSpec& do
   // identical to its paired a6 — the unique high-Jaccard counterpart
   // detection must find — while two *different* prefixes of the same
   // cluster share only ~0.25 Jaccard (independent half-subsets) and
-  // different clusters share nothing. That J-gap is what lets the sketch
-  // engine discard all but the true counterpart, where the exact engine
-  // must walk every element's full posting list.
+  // different clusters share nothing. Each element's posting list then
+  // names a whole cluster, so the exact scan counts every prefix of it
+  // as a candidate before keeping the one true counterpart: the
+  // candidate load of CDN deployments at paper scale.
   const int scale = std::max(1, config_.scale);
   const std::uint64_t stride_h = mix(seed, domain.id, kTagReplica);
   const bool replicated = scale > 1 && org4.hg_cdn && org4.aligned;

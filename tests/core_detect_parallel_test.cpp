@@ -5,9 +5,10 @@
 // *byte-identical* to the serial reference (detail::detect_over, exposed
 // as detect_sibling_prefixes_serial) for any corpus, metric, and thread
 // count — similarity doubles included, compared at the bit level. The
-// harness sweeps seeded synthetic corpora × all metrics × thread counts
-// 1/2/8, plus the adversarial corners: exact ties at the kTieEpsilon
-// boundary, empty and one-sided corpora, and counter determinism.
+// harness sweeps seeded synthetic corpora and a synth universe at scale
+// 1 and 3 × all metrics × thread counts 1/2/8, plus the adversarial
+// corners: exact ties at the kTieEpsilon boundary, empty and one-sided
+// corpora, and counter determinism.
 #include "core/detect.h"
 
 #include <gtest/gtest.h>
@@ -109,16 +110,21 @@ TEST_P(DetectParallelSeeds, MatchesSerialOnRandomSetCorpora) {
 INSTANTIATE_TEST_SUITE_P(Seeds, DetectParallelSeeds,
                          ::testing::Values(1u, 7u, 42u, 1337u, 99991u));
 
-TEST(DetectParallel, MatchesSerialOnSyntheticDnsCorpus) {
+/// The 120-org, 3-month synth universe's last month, at `scale`.
+DualStackCorpus synthetic_dns_corpus(int scale) {
   synth::SynthConfig config;
   config.organization_count = 120;
   config.months = 3;
   config.hg_prefix_scale = 0.01;
   config.probe_count = 50;
+  config.scale = scale;
   const synth::SyntheticInternet universe(config);
   const auto snapshot = universe.snapshot_at(universe.month_count() - 1);
-  const auto corpus = DualStackCorpus::build(snapshot, universe.rib());
+  return DualStackCorpus::build(snapshot, universe.rib());
+}
 
+TEST(DetectParallel, MatchesSerialOnSyntheticDnsCorpus) {
+  const auto corpus = synthetic_dns_corpus(1);
   for (const Metric metric : kAllMetrics) {
     const auto serial = detect_sibling_prefixes_serial(corpus, {.metric = metric});
     ASSERT_FALSE(serial.empty());
@@ -126,6 +132,24 @@ TEST(DetectParallel, MatchesSerialOnSyntheticDnsCorpus) {
       const auto parallel =
           detect_sibling_prefixes(corpus, {.metric = metric, .threads = threads});
       expect_byte_identical(parallel, serial);
+    }
+  }
+}
+
+// Scale 3: replicated CDN edges, where every element's posting list names
+// a whole cluster of candidate prefixes.
+TEST(DetectParallel, MatchesSerialOnScaledSyntheticDnsCorpus) {
+  const auto corpus = synthetic_dns_corpus(3);
+  for (const Metric metric : kAllMetrics) {
+    SCOPED_TRACE("metric " + std::to_string(static_cast<int>(metric)));
+    const auto serial = detect_sibling_prefixes_serial(corpus, {.metric = metric});
+    ASSERT_FALSE(serial.empty());
+    for (const unsigned threads : kThreadCounts) {
+      DetectStats stats;
+      const auto parallel = detect_sibling_prefixes(
+          corpus, {.metric = metric, .threads = threads, .stats = &stats});
+      expect_byte_identical(parallel, serial);
+      EXPECT_GT(stats.prefixes_scanned, 0u);
     }
   }
 }

@@ -2,8 +2,8 @@
 // and a fixed --requests count, two runs send byte-identical request
 // streams (pinned by the per-connection FNV-1a64 hashes in the report)
 // and land identical per-verb counters on the server — the property
-// BENCH_net.json and the tier1.sh loopback smoke rely on to be
-// reproducible.
+// the tier1.sh loopback smoke relies on to be reproducible. Also pins
+// the shape of the `--json` report.
 #include "net/loadgen.h"
 
 #include <gtest/gtest.h>

@@ -2,9 +2,9 @@
 // applying month deltas incrementally must produce pair lists
 // *byte-identical* (similarity doubles compared at the bit level) to a
 // from-scratch exact run over the post-delta corpus — across seeds,
-// event mixes, thread counts, the forced-sketch path and the full-rescan
-// path. Also covers the dirty-set sparsity the subsystem exists for, the
-// error contract (apply before init, inconsistent deltas) and the
+// event mixes, thread counts and the full-rescan path. Also covers the
+// dirty-set sparsity the subsystem exists for, the error contract
+// (apply before init, inconsistent deltas) and the
 // `stream.pairs_current` gauge.
 #include "stream/stream_detector.h"
 
@@ -176,41 +176,6 @@ TEST(StreamDetector, IncrementalMatchesScratchAcrossEventMixes) {
       run_identity_campaign(seed, mix, options);
     }
   }
-}
-
-TEST(StreamDetectorSketch, ForcedSketchPathStaysByteIdentical) {
-  for (const std::uint32_t seed : {1u, 42u, 1337u}) {
-    StreamOptions options;
-    options.threads = 2;
-    options.sketch = sketch::SketchParams{};
-    options.sketch_min_dirty = 0;  // every apply routes through the LSH filter
-    run_identity_campaign(seed, kMixes[1], options);
-  }
-}
-
-TEST(StreamDetectorSketch, SketchThresholdGatesTheFilter) {
-  std::mt19937 rng(5);
-  EdgeMap edges = seeded_edges(5);
-  StreamOptions options;
-  options.sketch = sketch::SketchParams{};
-  options.sketch_min_dirty = 0;
-  StreamDetector detector(options);
-  detector.init(make_corpus(edges).detect_index());
-  evolve(edges, rng, kMixes[0]);
-  detector.apply(CorpusDelta::between(detector.index(), make_corpus(edges).detect_index()));
-  EXPECT_TRUE(detector.last_stats().used_sketch);
-
-  // A huge threshold keeps small dirty sets on the exact path.
-  StreamOptions exact_options = options;
-  exact_options.sketch_min_dirty = 1u << 20;
-  StreamDetector gated(exact_options);
-  EdgeMap gated_edges = seeded_edges(5);
-  std::mt19937 gated_rng(5);
-  gated.init(make_corpus(gated_edges).detect_index());
-  evolve(gated_edges, gated_rng, kMixes[0]);
-  gated.apply(
-      CorpusDelta::between(gated.index(), make_corpus(gated_edges).detect_index()));
-  EXPECT_FALSE(gated.last_stats().used_sketch);
 }
 
 TEST(StreamDetectorFullRescan, ZeroFractionForcesFullRescanAndStaysIdentical) {

@@ -1,11 +1,14 @@
 // Tests for the synthetic Internet generator: determinism, structural
-// consistency (addresses inside prefixes, RIB coverage), and the headline
-// pipeline shapes (dataset growth, perfect-match share, SP-Tuner lift).
+// consistency (addresses inside prefixes, RIB coverage), the headline
+// pipeline shapes (dataset growth, perfect-match share, SP-Tuner lift),
+// and the `scale` knob the at-scale runs build on.
 #include "synth/universe.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <unordered_set>
+#include <vector>
 
 #include "analysis/stats.h"
 #include "core/detect.h"
@@ -235,6 +238,64 @@ TEST(SyntheticInternet, MonitoringOrgCreatesCrossOrgPairs) {
   }
   // At least the monitoring grid (16×6 minus silent overlaps) shows up.
   EXPECT_GT(different_org, 50u);
+}
+
+// --- synth scale knob ---
+
+/// A 120-org, 3-month universe: small enough to build at scale 3.
+SynthConfig scale_config() {
+  SynthConfig config;
+  config.organization_count = 120;
+  config.months = 3;
+  config.hg_prefix_scale = 0.01;
+  config.probe_count = 50;
+  return config;
+}
+
+void expect_byte_identical(const std::vector<core::SiblingPair>& actual,
+                           const std::vector<core::SiblingPair>& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(actual[i].v4, expected[i].v4) << "pair " << i;
+    EXPECT_EQ(actual[i].v6, expected[i].v6) << "pair " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(actual[i].similarity),
+              std::bit_cast<std::uint64_t>(expected[i].similarity))
+        << "pair " << i;
+    EXPECT_EQ(actual[i].shared_domains, expected[i].shared_domains) << "pair " << i;
+    EXPECT_EQ(actual[i].v4_domain_count, expected[i].v4_domain_count) << "pair " << i;
+    EXPECT_EQ(actual[i].v6_domain_count, expected[i].v6_domain_count) << "pair " << i;
+  }
+}
+
+TEST(SynthScale, ScaleMultipliesTheUniverse) {
+  synth::SynthConfig base = scale_config();
+  synth::SynthConfig scaled = scale_config();
+  scaled.scale = 3;
+  const synth::SyntheticInternet small(base);
+  const synth::SyntheticInternet big(scaled);
+  // Per-org domain counts scale exactly linearly; the monitoring domain is
+  // a singleton identity (one domain across hundreds of prefixes) in every
+  // universe, so it stays unscaled.
+  EXPECT_EQ(big.domains().size(), (small.domains().size() - 1) * 3 + 1);
+  // The scaled universe still resolves and detects.
+  const auto snapshot = big.snapshot_at(big.month_count() - 1);
+  const auto corpus = core::DualStackCorpus::build(snapshot, big.rib());
+  const auto pairs = core::detect_sibling_prefixes(corpus, {});
+  EXPECT_FALSE(pairs.empty());
+}
+
+TEST(SynthScale, ScaleOneIsTheDefaultUniverse) {
+  synth::SynthConfig config = scale_config();
+  config.scale = 1;
+  const synth::SyntheticInternet defaulted(scale_config());
+  const synth::SyntheticInternet explicit_one(config);
+  EXPECT_EQ(defaulted.domains().size(), explicit_one.domains().size());
+  const auto a = defaulted.snapshot_at(defaulted.month_count() - 1);
+  const auto b = explicit_one.snapshot_at(explicit_one.month_count() - 1);
+  const auto corpus_a = core::DualStackCorpus::build(a, defaulted.rib());
+  const auto corpus_b = core::DualStackCorpus::build(b, explicit_one.rib());
+  expect_byte_identical(core::detect_sibling_prefixes(corpus_a, {}),
+                        core::detect_sibling_prefixes(corpus_b, {}));
 }
 
 }  // namespace

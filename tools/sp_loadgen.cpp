@@ -13,8 +13,8 @@
 //   --requests N      frames per connection (deterministic byte streams;
 //                     0 = run for --duration instead) [0]
 //   --duration MS     wall-clock run length in duration mode [5000]
-//   --json            emit the full report as one JSON object (the
-//                     BENCH_net.json format) instead of the text summary
+//   --json            emit the full report as one JSON object instead of
+//                     the text summary
 //
 // The key stream is a pure function of (seed, connection, frame, slot),
 // so two runs with the same seed and --requests send byte-identical
