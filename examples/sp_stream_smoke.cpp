@@ -5,15 +5,24 @@
 // a CorpusDelta against the previous month's corpus. After each month
 // the incremental pair list is memcmp-compared (prefixes, bit-level
 // similarity doubles, counts) against core::detect_sibling_prefixes over
-// that month's corpus — the ISSUE 8 byte-identity contract, exercised
-// end-to-end on synth data. tier1.sh runs this as the stream smoke, and
-// with --scale 2 (replicated CDN edges) as the exact-engine scale
-// smoke.
+// that month's corpus — the stream engine's byte-identity contract,
+// exercised end-to-end on synth data. tier1.sh runs this as the stream
+// smoke, and with --scale 2 (replicated CDN edges) as the exact-engine
+// scale smoke.
+//
+// A whole month's delta dirties most sources, so its apply re-scans
+// everything. Before it, a few of the month's PrefixDeltas are applied
+// one at a time: each dirties a few sources, so the dirty-set re-scan
+// and the sorted-list merge run, and after each the pairs are compared
+// with the serial oracle (core::detail::detect_over) over the detector's
+// own index. The run fails if no slice took that incremental path. The
+// slices and the oracle runs are left out of the printed timings.
 //
 // Run: ./build/examples/sp_stream_smoke [--months N] [--threads T]
 //      [--orgs N] [--scale N] [--quiet]
 //
 // Exit code 0 when every month matched, 1 on a mismatch, 2 on usage.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -100,9 +109,37 @@ int main(int argc, char** argv) {
   stream::StreamDetector detector(options);
   double stream_total_ms = 0.0;
   double exact_total_ms = 0.0;
+  std::size_t slices_total = 0;
+  std::size_t incremental_total = 0;
   for (int month = 0; month < universe.month_count(); ++month) {
     const auto corpus =
         core::DualStackCorpus::build(universe.snapshot_at(month), universe.rib());
+
+    // Single-prefix slices of the month's delta, checked one at a time:
+    // the first and the middle entry of each side.
+    std::size_t slices = 0;
+    std::size_t incremental = 0;
+    std::size_t slice_dirty_max = 0;
+    if (month > 0) {
+      const auto delta = core::CorpusDelta::between(detector.index(), corpus.detect_index());
+      for (const Family family : {Family::v4, Family::v6}) {
+        const auto& entries = delta.side(family);
+        for (std::size_t i = 0; i < std::min<std::size_t>(2, entries.size()); ++i) {
+          core::CorpusDelta slice;
+          (family == Family::v4 ? slice.v4 : slice.v6).push_back(entries[i * entries.size() / 2]);
+          detector.apply(slice);
+          ++slices;
+          const stream::StreamApplyStats& stats = detector.last_stats();
+          if (!stats.full_rescan) ++incremental;
+          slice_dirty_max = std::max(slice_dirty_max, stats.dirty_v4 + stats.dirty_v6);
+          const auto oracle =
+              core::detail::detect_over(detector.index(), {.metric = options.metric});
+          if (!identical(detector.pairs(), oracle, month)) return 1;
+        }
+      }
+    }
+    slices_total += slices;
+    incremental_total += incremental;
 
     start = std::chrono::steady_clock::now();
     if (month == 0) {
@@ -122,12 +159,17 @@ int main(int argc, char** argv) {
     if (!quiet) {
       const stream::StreamApplyStats& stats = detector.last_stats();
       std::printf("month %d: %zu pairs, %zu/%zu dirty sources%s, "
-                  "stream %.0f ms vs exact %.0f ms\n",
+                  "stream %.0f ms vs exact %.0f ms; %zu slices, %zu incremental, "
+                  "<= %zu dirty\n",
                   month, detector.pairs().size(), stats.dirty_v4 + stats.dirty_v6,
                   stats.sources_total,
                   stats.full_rescan ? " (full)" : "",
-                  stream_ms, exact_ms);
+                  stream_ms, exact_ms, slices, incremental, slice_dirty_max);
     }
+  }
+  if (slices_total > 0 && incremental_total == 0) {
+    std::fprintf(stderr, "no single-prefix slice took the incremental path\n");
+    return 1;
   }
   if (!quiet) {
     std::printf("identity: every month byte-identical; stream %.0f ms vs exact %.0f ms "

@@ -54,18 +54,23 @@ cmake --build build-tsan -j "$JOBS" --target core_detect_parallel_test \
 # corpus under AddressSanitizer + UBSan. The CSV suite includes a seeded
 # fuzz-style round-trip property test (adversarial quote/CR/LF/comma
 # fields), so this stage doubles as a bounded fuzz run on both CSV
-# parsers. The corpus, reference-corpus, SetCorpus and SP-Tuner suites
-# drive the sorted-edge build's uint32 offset arithmetic over its CSRs
-# and SP-Tuner's spans into them; the SP-Tuner reference suite drives
-# the tuner's row indexes into the host ranges and its per-domain mask
-# scratch on seeded months.
+# parsers; the snapshot-CSV and address suites drive the run-at-a-time
+# field appends, the string_view address tokens and the IPv6 parser's
+# fixed group arrays. The corpus, reference-corpus, SetCorpus and
+# SP-Tuner suites drive the sorted-edge build's uint32 offset arithmetic
+# over its CSRs and SP-Tuner's spans into them; the reference-corpus
+# corner cases drive the announcement interval table's per-length
+# host-bit masks (a shift by the full address width is undefined) and
+# its ends at the top of each family's space. The SP-Tuner reference
+# suite drives the tuner's row indexes into the host ranges and its
+# per-domain mask scratch on seeded months.
 cmake -B build-asan -S . -DSP_SANITIZE=address,undefined
-cmake --build build-asan -j "$JOBS" --target io_csv_test \
+cmake --build build-asan -j "$JOBS" --target io_csv_test io_snapshot_csv_test netbase_ip_test \
   he_happy_eyeballs_test pipeline_manifest_test \
   core_corpus_detect_test core_corpus_reference_test core_setcorpus_test core_sptuner_test \
   core_sptuner_reference_test
 (cd build-asan && ctest --output-on-failure -j "$JOBS" \
-  -R 'Csv|HappyEyeballs|PipelineManifest|DualStackCorpus|DetectSiblings|SetCorpus|SpTuner|CorpusReference')
+  -R 'Csv|IPv4|IPv6|IPAddress|HappyEyeballs|PipelineManifest|DualStackCorpus|DetectSiblings|SetCorpus|SpTuner|CorpusReference')
 
 # Stage 4: loopback end-to-end smoke of the TCP front-end — the real
 # binaries, a real socket. Convert a tiny fixture, start sp_serve
@@ -127,8 +132,11 @@ fi
 # of a scale-2 universe (replicated hypergiant edge clusters, where each
 # element's posting list names a whole cluster of candidates), compared
 # with a from-scratch exact run every month; sp_stream_smoke exits
-# non-zero on the first byte difference. Small org/month counts keep
-# the universe build to a few seconds.
+# non-zero on the first byte difference. Before each whole month it
+# applies single-prefix slices of the month's delta, which take the
+# incremental path (dirty-set re-scan and sorted-list merge), each
+# checked against the serial oracle. Small org/month counts keep the
+# universe build to a few seconds.
 ./build/examples/sp_stream_smoke --scale 2 --orgs 8 --months 3 --threads 2
 
 # Stage 6: incremental-vs-scratch smoke — the stream engine chained

@@ -7,10 +7,17 @@
 // (post-CNAME), and reserved/private addresses are discarded, both per
 // the paper.
 //
-// build() makes one pass over the snapshot that appends one fixed-size
-// edge (announced prefix, host address, domain id) per mapped address,
-// sorts each family's edges once by (prefix, host, id), and emits every
-// view in one walk over the sorted list:
+// build() reads the RIB's announcements once, in prefix order, and
+// numbers each family's announcements by their rank there (their
+// ordinal), so ordinal order is prefix order. It flattens each family's
+// nesting into a sorted array of disjoint address intervals, each
+// labelled with the ordinal of its longest-match announcement or as
+// unmapped; mapping an address is one binary search over that array,
+// whatever the nesting depth. One pass over the snapshot appends one
+// packed integer edge (ordinal, host address, domain id) per mapped
+// address, each family's edges are sorted once by (ordinal, host, id),
+// which is (prefix, host, id) order, and one walk over the sorted list
+// emits every view:
 //
 //   detect_index()   prefix → sorted domain set CSR, plus its postings
 //   hosts_of()       per announced prefix, one range of host rows,
@@ -18,11 +25,13 @@
 //   host rows        the host→domains CSR: row → sorted domains served
 //                    from that address
 //
-// No per-address hash map or trie is built: every view is a flat array.
+// No per-address hash map or trie walk is made: every view is a flat
+// array.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "bgp/rib.h"
@@ -110,8 +119,6 @@ class DualStackCorpus {
   [[nodiscard]] DomainSet domains_within(const Prefix& prefix) const;
 
  private:
-  struct Edge;
-
   /// One family's host rows, grouped by the index side's dense prefix ids.
   struct HostTable {
     std::vector<std::uint32_t> prefix_rows{0};     // dense prefix id → first row
@@ -120,8 +127,11 @@ class DualStackCorpus {
     std::vector<DomainId> domains;                 // concatenated sorted row sets
   };
 
-  /// Sorts one family's edges and writes its index side and host rows.
-  static void flatten(std::vector<Edge>& edges, DetectIndex::Side& side, HostTable& hosts);
+  /// Sorts one family's edges and writes its index side and host rows;
+  /// `announced` maps an edge's ordinal back to its prefix.
+  template <typename Edge>
+  static void flatten(std::vector<Edge>& edges, std::span<const Prefix> announced,
+                      DetectIndex::Side& side, HostTable& hosts);
 
   [[nodiscard]] const HostTable& table(Family family) const noexcept {
     return family == Family::v4 ? v4_hosts_ : v6_hosts_;

@@ -1,7 +1,9 @@
 #include "io/csv.h"
 
+#include <algorithm>
+#include <filesystem>
 #include <fstream>
-#include <iterator>
+#include <system_error>
 
 namespace sp::io {
 
@@ -9,6 +11,16 @@ namespace {
 
 bool needs_quoting(std::string_view field) {
   return field.find_first_of(",\"\r\n") != std::string_view::npos;
+}
+
+/// The end of the run of bytes from `i` that the unquoted state copies as
+/// they are: everything but a quote, a comma and a line break.
+std::size_t ordinary_run_end(std::string_view text, std::size_t i) {
+  while (i < text.size() && text[i] != '"' && text[i] != ',' && text[i] != '\r' &&
+         text[i] != '\n') {
+    ++i;
+  }
+  return i;
 }
 
 }  // namespace
@@ -65,7 +77,10 @@ std::optional<std::vector<CsvRow>> parse_csv(std::string_view text) {
           in_quotes = false;
         }
       } else {
-        field.push_back(c);
+        // Everything up to the next quote is field content.
+        const std::size_t end = std::min(text.find('"', i), text.size());
+        field.append(text.substr(i, end - i));
+        i = end - 1;
       }
       continue;
     }
@@ -93,10 +108,13 @@ std::optional<std::vector<CsvRow>> parse_csv(std::string_view text) {
       case '\n':
         end_row();
         break;
-      default:
-        field.push_back(c);
+      default: {
+        const std::size_t end = ordinary_run_end(text, i);
+        field.append(text.substr(i, end - i));
+        i = end - 1;
         field_started = true;
         break;
+      }
     }
   }
   if (in_quotes) return std::nullopt;
@@ -112,10 +130,21 @@ bool write_csv_file(const std::string& path, const std::vector<CsvRow>& rows) {
 }
 
 std::optional<std::vector<CsvRow>> read_csv_file(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) return std::nullopt;
-  const std::string text((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
+  // One string sized to the file, filled by one read. Whatever the size
+  // does not cover (a pipe, a file that grew) follows in blocks.
+  std::string text;
+  std::error_code error;
+  if (const std::uintmax_t size = std::filesystem::file_size(path, error); !error) {
+    text.resize(static_cast<std::size_t>(size));
+    in.read(text.data(), static_cast<std::streamsize>(size));
+    text.resize(static_cast<std::size_t>(in.gcount()));
+  }
+  char block[1 << 16];
+  while (in.read(block, sizeof block) || in.gcount() > 0) {
+    text.append(block, static_cast<std::size_t>(in.gcount()));
+  }
   return parse_csv(text);
 }
 

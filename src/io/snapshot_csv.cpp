@@ -1,6 +1,7 @@
 #include "io/snapshot_csv.h"
 
 #include <charconv>
+#include <string_view>
 
 #include "io/csv.h"
 
@@ -30,17 +31,17 @@ std::string join_v6(const std::vector<IPv6Address>& addresses) {
 
 // Splits "a|b|c" and parses each element; empty input gives an empty list.
 template <typename Address, typename Parse>
-bool split_addresses(const std::string& text, Parse parse, std::vector<Address>& out) {
+bool split_addresses(std::string_view text, Parse parse, std::vector<Address>& out) {
   if (text.empty()) return true;
   std::size_t start = 0;
   while (true) {
     const std::size_t bar = text.find('|', start);
-    const std::string token =
-        text.substr(start, bar == std::string::npos ? std::string::npos : bar - start);
+    const std::string_view token =
+        text.substr(start, bar == std::string_view::npos ? std::string_view::npos : bar - start);
     const auto parsed = parse(token);
     if (!parsed) return false;
     out.push_back(*parsed);
-    if (bar == std::string::npos) return true;
+    if (bar == std::string_view::npos) return true;
     start = bar + 1;
   }
 }

@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <stdexcept>
-#include <vector>
 
 namespace sp {
 
@@ -28,6 +27,45 @@ std::optional<unsigned> hex_digit(char c) {
   if (c >= 'a' && c <= 'f') return static_cast<unsigned>(c - 'a' + 10);
   if (c >= 'A' && c <= 'F') return static_cast<unsigned>(c - 'A' + 10);
   return std::nullopt;
+}
+
+/// The 16-bit groups on one side of an IPv6 address's "::".
+struct GroupList {
+  std::array<std::uint16_t, 8> groups{};
+  std::size_t size = 0;
+};
+
+// Parses a colon-separated group list, possibly ending in an embedded IPv4
+// dotted quad (which contributes two groups). A side holding more than
+// eight groups fails here: no address has that many.
+bool parse_groups(std::string_view part, bool allow_embedded_v4, GroupList& out) {
+  if (part.empty()) return true;
+  std::size_t pos = 0;
+  while (true) {
+    // An embedded IPv4 address may only be the final component.
+    const std::size_t next_colon = part.find(':', pos);
+    const std::string_view token = part.substr(
+        pos, next_colon == std::string_view::npos ? std::string_view::npos : next_colon - pos);
+    if (token.empty()) return false;
+    if (token.find('.') != std::string_view::npos) {
+      if (!allow_embedded_v4 || next_colon != std::string_view::npos) return false;
+      const auto v4 = IPv4Address::from_string(token);
+      if (!v4 || out.size > 6) return false;
+      out.groups[out.size++] = static_cast<std::uint16_t>(v4->value() >> 16);
+      out.groups[out.size++] = static_cast<std::uint16_t>(v4->value() & 0xffff);
+      return true;
+    }
+    if (token.size() > 4 || out.size == 8) return false;
+    unsigned value = 0;
+    for (const char c : token) {
+      const auto digit = hex_digit(c);
+      if (!digit) return false;
+      value = (value << 4) | *digit;
+    }
+    out.groups[out.size++] = static_cast<std::uint16_t>(value);
+    if (next_colon == std::string_view::npos) return true;
+    pos = next_colon + 1;
+  }
 }
 
 }  // namespace
@@ -128,51 +166,12 @@ std::optional<IPv6Address> IPv6Address::from_string(std::string_view text) {
     tail = text.substr(gap + 2);
   }
 
-  // Parses a colon-separated group list, possibly ending in an embedded
-  // IPv4 dotted quad (which contributes two groups).
-  const auto parse_groups =
-      [](std::string_view part, bool allow_embedded_v4) -> std::optional<std::vector<std::uint16_t>> {
-    std::vector<std::uint16_t> groups;
-    if (part.empty()) return groups;
-    std::size_t pos = 0;
-    while (true) {
-      // An embedded IPv4 address may only be the final component.
-      const std::size_t next_colon = part.find(':', pos);
-      const std::string_view token =
-          part.substr(pos, next_colon == std::string_view::npos ? std::string_view::npos
-                                                                : next_colon - pos);
-      if (token.empty()) return std::nullopt;
-      if (token.find('.') != std::string_view::npos) {
-        if (!allow_embedded_v4 || next_colon != std::string_view::npos) return std::nullopt;
-        const auto v4 = IPv4Address::from_string(token);
-        if (!v4) return std::nullopt;
-        groups.push_back(static_cast<std::uint16_t>(v4->value() >> 16));
-        groups.push_back(static_cast<std::uint16_t>(v4->value() & 0xffff));
-        return groups;
-      }
-      if (token.size() > 4) return std::nullopt;
-      unsigned value = 0;
-      for (const char c : token) {
-        const auto digit = hex_digit(c);
-        if (!digit) return std::nullopt;
-        value = (value << 4) | *digit;
-      }
-      groups.push_back(static_cast<std::uint16_t>(value));
-      if (next_colon == std::string_view::npos) return groups;
-      pos = next_colon + 1;
-    }
-  };
+  GroupList head_groups;
+  GroupList tail_groups;
+  if (!parse_groups(head, !has_gap, head_groups)) return std::nullopt;
+  if (has_gap && !parse_groups(tail, true, tail_groups)) return std::nullopt;
 
-  const auto head_groups = parse_groups(head, !has_gap);
-  if (!head_groups) return std::nullopt;
-  std::vector<std::uint16_t> tail_groups_storage;
-  if (has_gap) {
-    const auto tail_groups = parse_groups(tail, true);
-    if (!tail_groups) return std::nullopt;
-    tail_groups_storage = *tail_groups;
-  }
-
-  const std::size_t total = head_groups->size() + tail_groups_storage.size();
+  const std::size_t total = head_groups.size + tail_groups.size;
   if (has_gap) {
     // "::" must compress at least one group.
     if (total >= 8) return std::nullopt;
@@ -181,10 +180,10 @@ std::optional<IPv6Address> IPv6Address::from_string(std::string_view text) {
   }
 
   std::array<std::uint16_t, 8> groups{};
-  for (std::size_t i = 0; i < head_groups->size(); ++i) groups[i] = (*head_groups)[i];
-  const std::size_t tail_start = 8 - tail_groups_storage.size();
-  for (std::size_t i = 0; i < tail_groups_storage.size(); ++i) {
-    groups[tail_start + i] = tail_groups_storage[i];
+  for (std::size_t i = 0; i < head_groups.size; ++i) groups[i] = head_groups.groups[i];
+  const std::size_t tail_start = 8 - tail_groups.size;
+  for (std::size_t i = 0; i < tail_groups.size; ++i) {
+    groups[tail_start + i] = tail_groups.groups[i];
   }
   return from_groups(groups);
 }

@@ -191,7 +191,7 @@ TEST(CorpusReference, ScaleTwoReplicatedEdgesMatchReference) {
 }
 
 TEST(CorpusReference, ScenarioCornerCasesMatchReference) {
-  std::vector<ScenarioBuilder> cases(7);
+  std::vector<ScenarioBuilder> cases(12);
   // Nested announcements, with hosts on both levels and a covered gap.
   cases[0].announce("20.0.0.0/8", 1).announce("20.1.0.0/16", 2).announce("20.1.1.0/24", 3);
   cases[0].announce("2620:100::/32", 4).announce("2620:100:1::/48", 5);
@@ -222,6 +222,46 @@ TEST(CorpusReference, ScenarioCornerCasesMatchReference) {
   cases[5].host("ds.example.org", {"20.1.1.2"}, {"2620:100::2"});
   // An empty snapshot (cases[6]): routes, no entries.
   cases[6].announce("20.1.1.0/24", 1).announce("2620:100::/48", 2);
+  // Default routes above host routes: the addresses next to a /32 or /128
+  // fall back to the default.
+  cases[7].announce("0.0.0.0/0", 1).announce("20.1.1.1/32", 2).announce("20.1.1.3/32", 3);
+  cases[7].announce("::/0", 4).announce("2620:100::1/128", 5);
+  cases[7].host("hostroute.example.org", {"20.1.1.0", "20.1.1.1", "20.1.1.2", "20.1.1.3"},
+                {"2620:100::", "2620:100::1", "2620:100::2"});
+  cases[7].host("default.example.org", {"20.1.1.4", "99.0.0.1"}, {"2a00::1", "2620:100::1"});
+  // One start address at four lengths, with hosts at each level's first
+  // and last address and just past them.
+  cases[8].announce("20.0.0.0/8", 1).announce("20.0.0.0/16", 2);
+  cases[8].announce("20.0.0.0/24", 3).announce("20.0.0.0/32", 4);
+  cases[8].announce("2620::/32", 5).announce("2620::/48", 6);
+  cases[8].announce("2620::/64", 7).announce("2620::/128", 8);
+  cases[8].host("first.example.org", {"20.0.0.0", "20.0.0.1", "20.0.1.0", "20.1.0.0"},
+                {"2620::", "2620::1", "2620:0:0:1::", "2620:0:1::"});
+  cases[8].host("last.example.org",
+                {"20.0.0.255", "20.0.255.255", "20.255.255.255", "21.0.0.0"},
+                {"2620::ffff:ffff:ffff:ffff", "2620:0:0:ffff:ffff:ffff:ffff:ffff",
+                 "2620:0:ffff:ffff:ffff:ffff:ffff:ffff", "2620:1::"});
+  // Announcements ending at the top of the family's space, above lower
+  // routes that must keep their own intervals.
+  cases[9].announce("128.0.0.0/1", 1).announce("255.255.255.255/32", 2);
+  cases[9].announce("200.0.0.0/8", 3).announce("20.0.0.0/8", 4);
+  cases[9].announce("8000::/1", 5).announce("ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff/128", 6);
+  cases[9].announce("2620::/16", 7);
+  cases[9].host("top.example.org",
+                {"128.0.0.1", "200.1.1.1", "201.0.0.0", "223.255.255.255", "20.1.1.1", "21.1.1.1"},
+                {"2620::1", "2620:ffff:ffff:ffff:ffff:ffff:ffff:ffff", "2621::1"});
+  // Adjacent siblings under a covering prefix, then a gap, then a third.
+  cases[10].announce("20.0.0.0/16", 1).announce("20.0.1.0/24", 2);
+  cases[10].announce("20.0.2.0/24", 3).announce("20.0.4.0/24", 4);
+  cases[10].announce("2620:100::/32", 5).announce("2620:100:1::/48", 6);
+  cases[10].announce("2620:100:2::/48", 7).announce("2620:100:4::/48", 8);
+  cases[10].host("siblings.example.org",
+                 {"20.0.0.255", "20.0.1.0", "20.0.1.255", "20.0.2.0", "20.0.2.255", "20.0.3.0",
+                  "20.0.4.0", "20.0.5.0"},
+                 {"2620:100:0:ffff::1", "2620:100:1::", "2620:100:1:ffff:ffff:ffff:ffff:ffff",
+                  "2620:100:2::", "2620:100:3::1", "2620:100:4::1", "2620:100:5::"});
+  // A RIB with no routes: every address is unmapped.
+  cases[11].host("noroute.example.org", {"20.1.1.1", "10.1.1.1"}, {"2620:100::1"});
 
   for (std::size_t i = 0; i < cases.size(); ++i) {
     SCOPED_TRACE("case " + std::to_string(i));

@@ -87,12 +87,16 @@ TEST(IPv6Address, ParsesGapPositions) {
   EXPECT_TRUE(IPv6Address::from_string("1::1").has_value());
   EXPECT_TRUE(IPv6Address::from_string("1:2:3:4:5:6:7::").has_value());
   EXPECT_TRUE(IPv6Address::from_string("::1:2:3:4:5:6:7").has_value());
+  EXPECT_TRUE(IPv6Address::from_string("1:2:3:4:5:6:1.2.3.4").has_value());
+  EXPECT_EQ(IPv6Address::from_string("1::2:3:4:5:1.2.3.4")->to_string(), "1:0:2:3:4:5:102:304");
 }
 
 TEST(IPv6Address, RejectsMalformedInput) {
   for (const char* bad : {"", ":", ":::", "1::2::3", "12345::", "g::1", "1:2:3:4:5:6:7:8:9",
                           "1:2:3:4:5:6:7", "::1%eth0", "1:2:3:4:5:6:7:8::", "::1.2.3.4.5",
-                          "1.2.3.4::", "::ffff:1.2.3.300", "2001:db8::1 "}) {
+                          "1.2.3.4::", "::ffff:1.2.3.300", "2001:db8::1 ",
+                          "1:2:3:4:5:6:7:1.2.3.4", "1:2:3:4:5:6::1.2.3.4", "::1:2:3:4:5:6:7:8",
+                          "1:2:3:4:5:6:7:8:9:10"}) {
     EXPECT_FALSE(IPv6Address::from_string(bad).has_value()) << bad;
   }
 }
