@@ -1,6 +1,7 @@
 // Generates the checked-in seed corpora under fuzz/corpus/<target>/.
 // Seeds come from the project's own writers (format_csv_row,
-// encode_dump, RunManifest::to_json, write_sibdb) plus a few handwritten
+// encode_dump, RunManifest::to_json, write_sibdb, write_snapshot_csv)
+// plus a few handwritten
 // edge cases, so every corpus starts on the accept path and mutation
 // explores the reject boundary from valid inputs outward. Deterministic:
 // re-running over an existing corpus rewrites identical bytes.
@@ -10,12 +11,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "chaos/corrupt.h"
 #include "core/detect.h"
 #include "io/csv.h"
+#include "io/snapshot_csv.h"
 #include "mrt/codec.h"
 #include "net/protocol.h"
 #include "netbase/prefix.h"
@@ -75,6 +78,45 @@ bool make_csv_seeds(const fs::path& root) {
     if (!write_seed(root / target, "unbalanced.csv", std::string("a,\"open\n"))) return false;
   }
   return true;
+}
+
+bool make_snapshot_csv_seeds(const fs::path& root) {
+  // One month of a small synthetic universe, as the export stage writes it.
+  sp::synth::SynthConfig config;
+  config.organization_count = 12;
+  config.hg_prefix_scale = 0.005;
+  config.months = 1;
+  const sp::synth::SyntheticInternet internet(config);
+  std::error_code ec;
+  fs::create_directories(root / "snapshot_csv", ec);
+  const fs::path month = root / "snapshot_csv" / "month.csv";
+  if (!sp::io::write_snapshot_csv(month.string(), internet.snapshot_at(0))) {
+    std::fprintf(stderr, "make_seeds: write_snapshot_csv failed\n");
+    return false;
+  }
+  std::ifstream in(month, std::ios::binary);
+  const std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+
+  // The same rows in the rest of the dialect: every field quoted, CRLF
+  // line breaks, a leading blank line.
+  std::string quoted = "\r\n";
+  bool field_open = false;
+  for (const char c : text) {
+    if (!field_open) {
+      quoted.push_back('"');
+      field_open = true;
+    }
+    if (c == ',' || c == '\n') {
+      quoted += c == ',' ? "\"," : "\"\r\n";
+      field_open = false;
+    } else {
+      quoted.push_back(c);
+    }
+  }
+  if (!write_seed(root / "snapshot_csv", "quoted_crlf.csv", quoted)) return false;
+
+  // Cut off mid-row.
+  return write_seed(root / "snapshot_csv", "truncated.csv", text.substr(0, text.size() / 2 + 7));
 }
 
 bool make_mrt_seeds(const fs::path& root) {
@@ -274,8 +316,9 @@ int main(int argc, char** argv) {
     return 2;
   }
   const fs::path root = argv[1];
-  if (!make_csv_seeds(root) || !make_mrt_seeds(root) || !make_manifest_seeds(root) ||
-      !make_sibdb_seeds(root) || !make_net_frame_seeds(root) || !make_stream_delta_seeds(root)) {
+  if (!make_csv_seeds(root) || !make_snapshot_csv_seeds(root) || !make_mrt_seeds(root) ||
+      !make_manifest_seeds(root) || !make_sibdb_seeds(root) || !make_net_frame_seeds(root) ||
+      !make_stream_delta_seeds(root)) {
     return 1;
   }
   std::printf("seed corpora written under %s\n", root.c_str());

@@ -54,11 +54,14 @@ cmake --build build-tsan -j "$JOBS" --target core_detect_parallel_test \
 # corpus under AddressSanitizer + UBSan. The CSV suite includes a seeded
 # fuzz-style round-trip property test (adversarial quote/CR/LF/comma
 # fields), so this stage doubles as a bounded fuzz run on both CSV
-# parsers; the snapshot-CSV and address suites drive the run-at-a-time
-# field appends, the string_view address tokens and the IPv6 parser's
-# fixed group arrays. The corpus, reference-corpus, SetCorpus and
-# SP-Tuner suites drive the sorted-edge build's uint32 offset arithmetic
-# over its CSRs and SP-Tuner's spans into them; the reference-corpus
+# parsers; the snapshot-CSV suite drives the byte cursor's index
+# arithmetic over file bytes (quoted fields, CRLF, bare CR, blank lines,
+# cut-off files) against the document-building reference reader, and the
+# address suite drives the one-pass IPv6 parser's group array over 4M
+# random and structured strings against the tokenizing reference. The
+# corpus, reference-corpus, SetCorpus and SP-Tuner suites drive the
+# sorted-edge build's uint32 offset arithmetic over its CSRs and
+# SP-Tuner's spans into them; the reference-corpus
 # corner cases drive the announcement interval table's per-length
 # host-bit masks (a shift by the full address width is undefined) and
 # its ends at the top of each family's space. The SP-Tuner reference

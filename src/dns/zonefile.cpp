@@ -331,6 +331,7 @@ bool write_zone_file(const std::string& path, const ZoneDatabase& zones) {
   std::ofstream out(path, std::ios::trunc);
   if (!out) return false;
   out << write_zone_text(zones);
+  out.close();  // the last buffered bytes can fail to land too
   return static_cast<bool>(out);
 }
 

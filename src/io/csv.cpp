@@ -126,14 +126,13 @@ bool write_csv_file(const std::string& path, const std::vector<CsvRow>& rows) {
   std::ofstream out(path, std::ios::trunc);
   if (!out) return false;
   for (const auto& row : rows) out << format_csv_row(row) << '\n';
+  out.close();  // the last buffered bytes can fail to land too
   return static_cast<bool>(out);
 }
 
-std::optional<std::vector<CsvRow>> read_csv_file(const std::string& path) {
+std::optional<std::string> read_file_text(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return std::nullopt;
-  // One string sized to the file, filled by one read. Whatever the size
-  // does not cover (a pipe, a file that grew) follows in blocks.
   std::string text;
   std::error_code error;
   if (const std::uintmax_t size = std::filesystem::file_size(path, error); !error) {
@@ -145,7 +144,13 @@ std::optional<std::vector<CsvRow>> read_csv_file(const std::string& path) {
   while (in.read(block, sizeof block) || in.gcount() > 0) {
     text.append(block, static_cast<std::size_t>(in.gcount()));
   }
-  return parse_csv(text);
+  return text;
+}
+
+std::optional<std::vector<CsvRow>> read_csv_file(const std::string& path) {
+  const auto text = read_file_text(path);
+  if (!text) return std::nullopt;
+  return parse_csv(*text);
 }
 
 CsvStreamStatus read_csv_stream(std::istream& in,

@@ -21,11 +21,17 @@ using CsvRow = std::vector<std::string>;
 /// quotes ("" escape) and newlines. Returns nullopt on unbalanced quotes.
 [[nodiscard]] std::optional<std::vector<CsvRow>> parse_csv(std::string_view text);
 
-/// Writes rows to a file; returns false on I/O error.
+/// Writes rows to a file; returns false on I/O error, including a failed
+/// final flush.
 [[nodiscard]] bool write_csv_file(const std::string& path, const std::vector<CsvRow>& rows);
 
 /// Reads and parses a CSV file.
 [[nodiscard]] std::optional<std::vector<CsvRow>> read_csv_file(const std::string& path);
+
+/// A whole file's bytes, read with one read sized to the file (what the
+/// size does not cover, from a pipe or a file that grew, follows in
+/// blocks); nullopt when it cannot be opened.
+[[nodiscard]] std::optional<std::string> read_file_text(const std::string& path);
 
 /// Outcome of a streaming parse.
 struct CsvStreamStatus {

@@ -11,6 +11,7 @@ bool write_file(const std::string& path, std::span<const MrtRecord> records) {
   const auto bytes = encode_dump(records);
   out.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
+  out.close();  // the last buffered bytes can fail to land too
   return static_cast<bool>(out);
 }
 

@@ -22,51 +22,16 @@ std::optional<std::uint8_t> parse_octet(std::string_view text, std::size_t& pos)
   return static_cast<std::uint8_t>(value);
 }
 
-std::optional<unsigned> hex_digit(char c) {
-  if (c >= '0' && c <= '9') return static_cast<unsigned>(c - '0');
-  if (c >= 'a' && c <= 'f') return static_cast<unsigned>(c - 'a' + 10);
-  if (c >= 'A' && c <= 'F') return static_cast<unsigned>(c - 'A' + 10);
-  return std::nullopt;
-}
-
-/// The 16-bit groups on one side of an IPv6 address's "::".
-struct GroupList {
-  std::array<std::uint16_t, 8> groups{};
-  std::size_t size = 0;
-};
-
-// Parses a colon-separated group list, possibly ending in an embedded IPv4
-// dotted quad (which contributes two groups). A side holding more than
-// eight groups fails here: no address has that many.
-bool parse_groups(std::string_view part, bool allow_embedded_v4, GroupList& out) {
-  if (part.empty()) return true;
-  std::size_t pos = 0;
-  while (true) {
-    // An embedded IPv4 address may only be the final component.
-    const std::size_t next_colon = part.find(':', pos);
-    const std::string_view token = part.substr(
-        pos, next_colon == std::string_view::npos ? std::string_view::npos : next_colon - pos);
-    if (token.empty()) return false;
-    if (token.find('.') != std::string_view::npos) {
-      if (!allow_embedded_v4 || next_colon != std::string_view::npos) return false;
-      const auto v4 = IPv4Address::from_string(token);
-      if (!v4 || out.size > 6) return false;
-      out.groups[out.size++] = static_cast<std::uint16_t>(v4->value() >> 16);
-      out.groups[out.size++] = static_cast<std::uint16_t>(v4->value() & 0xffff);
-      return true;
-    }
-    if (token.size() > 4 || out.size == 8) return false;
-    unsigned value = 0;
-    for (const char c : token) {
-      const auto digit = hex_digit(c);
-      if (!digit) return false;
-      value = (value << 4) | *digit;
-    }
-    out.groups[out.size++] = static_cast<std::uint16_t>(value);
-    if (next_colon == std::string_view::npos) return true;
-    pos = next_colon + 1;
-  }
-}
+// The value of each byte as a hex digit; kNotHex for every other byte.
+constexpr std::uint8_t kNotHex = 0xff;
+constexpr std::array<std::uint8_t, 256> kHexValue = [] {
+  std::array<std::uint8_t, 256> table{};
+  table.fill(kNotHex);
+  for (unsigned c = '0'; c <= '9'; ++c) table[c] = static_cast<std::uint8_t>(c - '0');
+  for (unsigned c = 'a'; c <= 'f'; ++c) table[c] = static_cast<std::uint8_t>(c - 'a' + 10);
+  for (unsigned c = 'A'; c <= 'F'; ++c) table[c] = static_cast<std::uint8_t>(c - 'A' + 10);
+  return table;
+}();
 
 }  // namespace
 
@@ -153,37 +118,56 @@ IPv6Address IPv6Address::from_groups(const std::array<std::uint16_t, 8>& groups)
 }
 
 std::optional<IPv6Address> IPv6Address::from_string(std::string_view text) {
-  if (text.empty() || text.find('%') != std::string_view::npos) return std::nullopt;
-
-  // Split into the part before and after "::" (at most one occurrence).
-  std::string_view head = text;
-  std::string_view tail;
-  bool has_gap = false;
-  if (const auto gap = text.find("::"); gap != std::string_view::npos) {
-    if (text.find("::", gap + 1) != std::string_view::npos) return std::nullopt;
-    has_gap = true;
-    head = text.substr(0, gap);
-    tail = text.substr(gap + 2);
-  }
-
-  GroupList head_groups;
-  GroupList tail_groups;
-  if (!parse_groups(head, !has_gap, head_groups)) return std::nullopt;
-  if (has_gap && !parse_groups(tail, true, tail_groups)) return std::nullopt;
-
-  const std::size_t total = head_groups.size + tail_groups.size;
-  if (has_gap) {
-    // "::" must compress at least one group.
-    if (total >= 8) return std::nullopt;
-  } else if (total != 8) {
-    return std::nullopt;
-  }
-
+  // One pass, left to right. Groups land in order of appearance; those
+  // after "::" move to the end of the address once the count is known.
+  // The language is RFC 4291's: 1-4 hex digits per group, at most one
+  // "::" (compressing at least one group), and a dotted quad allowed only
+  // as the last component.
   std::array<std::uint16_t, 8> groups{};
-  for (std::size_t i = 0; i < head_groups.size; ++i) groups[i] = head_groups.groups[i];
-  const std::size_t tail_start = 8 - tail_groups.size;
-  for (std::size_t i = 0; i < tail_groups.size; ++i) {
-    groups[tail_start + i] = tail_groups.groups[i];
+  std::size_t count = 0;
+  bool has_gap = false;
+  std::size_t gap_at = 0;  // groups before the "::"
+  const std::size_t size = text.size();
+  std::size_t i = 0;
+  if (size >= 2 && text[0] == ':' && text[1] == ':') {
+    has_gap = true;
+    i = 2;
+  }
+  while (i < size) {
+    const std::size_t start = i;
+    unsigned value = 0;
+    while (i < size && i - start < 4) {
+      const std::uint8_t digit = kHexValue[static_cast<unsigned char>(text[i])];
+      if (digit == kNotHex) break;
+      value = (value << 4) | digit;
+      ++i;
+    }
+    if (i < size && text[i] == '.') {
+      // An embedded dotted quad: the rest of the text, two groups.
+      const auto v4 = IPv4Address::from_string(text.substr(start));
+      if (!v4 || count > 6) return std::nullopt;
+      groups[count++] = static_cast<std::uint16_t>(v4->value() >> 16);
+      groups[count++] = static_cast<std::uint16_t>(v4->value() & 0xffff);
+      break;
+    }
+    if (i == start || count == 8) return std::nullopt;  // empty group, or a ninth
+    groups[count++] = static_cast<std::uint16_t>(value);
+    if (i == size) break;
+    if (text[i] != ':') return std::nullopt;  // a fifth digit or a stray byte
+    if (++i == size) return std::nullopt;     // trailing single colon
+    if (text[i] == ':') {
+      if (has_gap) return std::nullopt;
+      has_gap = true;
+      gap_at = count;
+      ++i;
+    }
+  }
+  if (has_gap ? count >= 8 : count != 8) return std::nullopt;
+
+  if (has_gap) {
+    const std::size_t tail = count - gap_at;
+    for (std::size_t k = tail; k-- > 0;) groups[8 - tail + k] = groups[gap_at + k];
+    for (std::size_t k = gap_at; k < 8 - tail; ++k) groups[k] = 0;
   }
   return from_groups(groups);
 }

@@ -111,7 +111,9 @@ bool write_sibdb(const std::string& path, std::span<const core::SiblingPair> pai
 
   std::vector<std::uint8_t> image(offset, 0);
   const auto put = [&image](std::uint64_t at, const void* data, std::size_t bytes) {
-    std::memcpy(image.data() + at, data, bytes);
+    // An empty label's data() may be null, and memcpy from null is
+    // undefined even for zero bytes.
+    if (bytes != 0) std::memcpy(image.data() + at, data, bytes);
   };
   for (std::uint64_t i = 0; i < n; ++i) {
     const core::SiblingPair& pair = pairs[i];
@@ -136,6 +138,7 @@ bool write_sibdb(const std::string& path, std::span<const core::SiblingPair> pai
   if (!out) return false;
   out.write(reinterpret_cast<const char*>(image.data()),
             static_cast<std::streamsize>(image.size()));
+  out.close();  // the last buffered bytes can fail to land too
   return static_cast<bool>(out);
 }
 

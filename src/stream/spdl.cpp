@@ -327,6 +327,7 @@ bool write_spdl(const std::string& path, const SibdbDelta& delta) {
   if (!out) return false;
   out.write(reinterpret_cast<const char*>(image.data()),
             static_cast<std::streamsize>(image.size()));
+  out.close();  // the last buffered bytes can fail to land too
   return static_cast<bool>(out);
 }
 

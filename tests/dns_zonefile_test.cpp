@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 
 namespace sp::dns {
 namespace {
@@ -54,8 +55,9 @@ TEST(ZoneFile, ParsesRealisticZone) {
   EXPECT_EQ(std::get<DomainName>(
                 zones.records(n("blog.example.org"), RecordType::CNAME)[0].data),
             n("www.example.org"));
-  const auto& mx = std::get<MxData>(zones.records(n("mail.example.org"),
-                                                  RecordType::MX)[0].data);
+  // A copy: records() returns a temporary vector.
+  const MxData mx = std::get<MxData>(zones.records(n("mail.example.org"),
+                                                   RecordType::MX)[0].data);
   EXPECT_EQ(mx.preference, 10);
   EXPECT_EQ(mx.exchange, n("mx1.example.org"));
   EXPECT_EQ(std::get<TxtData>(zones.records(n("txt.example.org"), RecordType::TXT)[0].data)
@@ -133,6 +135,13 @@ TEST(ZoneFile, FileRoundTrip) {
   EXPECT_EQ(loaded.record_count(), zones.record_count());
   EXPECT_FALSE(parse_zone_file("/nonexistent/zone", loaded).ok());
   std::remove(path.c_str());
+}
+
+TEST(ZoneFile, WriteToFullDeviceFails) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  ZoneDatabase zones;
+  ASSERT_TRUE(parse_zone_text(kExampleZone, zones).ok());
+  EXPECT_FALSE(write_zone_file("/dev/full", zones));
 }
 
 TEST(ZoneFile, DefaultOriginAppliesToRelativeNames) {

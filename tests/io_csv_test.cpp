@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <random>
 #include <sstream>
 #include <string>
@@ -191,6 +192,13 @@ TEST(CsvRoundTrip, RandomRowsSurviveBothParsers) {
     EXPECT_EQ(*parsed, document) << "iteration " << iteration << ": " << text;
     EXPECT_EQ(*streamed, document) << "iteration " << iteration;
   }
+}
+
+TEST(CsvDevFull, WriteCsvFileReportsFailedFlush) {
+  // A one-row file sits in the stream's buffer until it is closed; the
+  // error of that last flush must reach the caller.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  EXPECT_FALSE(write_csv_file("/dev/full", {{"v4_prefix", "v6_prefix"}}));
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <random>
 
 namespace sp::mrt {
@@ -179,6 +180,12 @@ TEST(MrtFile, WriteAndReadBack) {
   ASSERT_TRUE(loaded.has_value()) << error;
   EXPECT_EQ(*loaded, records);
   std::remove(path.c_str());
+}
+
+TEST(MrtFile, WriteToFullDeviceFails) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const std::vector<MrtRecord> records = {{1726000000, example_peer_table()}};
+  EXPECT_FALSE(write_file("/dev/full", records));
 }
 
 TEST(MrtFile, MissingFileReportsError) {

@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <span>
+#include <string>
 #include <unordered_set>
+
+#include "reference_ip.h"
 
 namespace sp {
 namespace {
@@ -79,6 +83,8 @@ TEST(IPv6Address, ParsesEmbeddedIPv4) {
   EXPECT_EQ(a->group(5), 0xffff);
   EXPECT_EQ(a->group(6), 0xC000);
   EXPECT_EQ(a->group(7), 0x0280);
+  EXPECT_EQ(IPv6Address::from_string("::1.2.3.4")->to_string(), "::102:304");
+  EXPECT_EQ(IPv6Address::from_string("::FFFF:10.0.0.1")->to_string(), "::ffff:a00:1");
 }
 
 TEST(IPv6Address, ParsesGapPositions) {
@@ -96,9 +102,177 @@ TEST(IPv6Address, RejectsMalformedInput) {
                           "1:2:3:4:5:6:7", "::1%eth0", "1:2:3:4:5:6:7:8::", "::1.2.3.4.5",
                           "1.2.3.4::", "::ffff:1.2.3.300", "2001:db8::1 ",
                           "1:2:3:4:5:6:7:1.2.3.4", "1:2:3:4:5:6::1.2.3.4", "::1:2:3:4:5:6:7:8",
-                          "1:2:3:4:5:6:7:8:9:10"}) {
+                          "1:2:3:4:5:6:7:8:9:10",
+                          // lone and trailing colons, a second or triple colon
+                          ":1", "1:", "::1:", "1::2:", ":1::", "1:2:3:4:5:6:7:8:",
+                          ":1:2:3:4:5:6:7:8", "1:::2", "1:::", ":::1",
+                          // a dotted quad that is not the last component, or not strict
+                          "::1.2.3.4:1", "::ffff:1.2.3.4:", "::1.2.3", "::01.2.3.4",
+                          "::1234.1.1.1", "::a.1.2.3", "1:2:3:4:5:1.2.3.4"}) {
     EXPECT_FALSE(IPv6Address::from_string(bad).has_value()) << bad;
   }
+}
+
+// Differential tests: IPv6Address::from_string against the tokenizing
+// parser it replaced (reference_ip.h). Both must accept the same strings
+// and produce the same bytes.
+struct ParserDiff {
+  std::size_t compared = 0;
+  std::size_t accepted = 0;
+  std::size_t mismatches = 0;
+  std::string examples;
+
+  void compare(std::string_view text) {
+    ++compared;
+    const auto got = IPv6Address::from_string(text);
+    const auto want = testsupport::reference_parse_ipv6(text);
+    accepted += want.has_value() ? 1 : 0;
+    if (got.has_value() == want.has_value() && (!got || *got == *want)) return;
+    if (++mismatches <= 8) {
+      examples += " \"" + std::string(text) + "\" (library " +
+                  (got ? got->to_string() : "rejects") + ", reference " +
+                  (want ? want->to_string() : "rejects") + ")";
+    }
+  }
+};
+
+// One hex group of `value`, zero-padded to `width` digits (no padding
+// below the value's own digit count), letters upper-cased on request.
+void append_group(std::string& out, unsigned value, int width, bool upper) {
+  constexpr char kLower[] = "0123456789abcdef";
+  constexpr char kUpper[] = "0123456789ABCDEF";
+  char digits[8];
+  int n = 0;
+  do {
+    digits[n++] = (upper ? kUpper : kLower)[value & 0xf];
+    value >>= 4;
+  } while (value != 0);
+  for (int pad = n; pad < width; ++pad) out.push_back('0');
+  while (n > 0) out.push_back(digits[--n]);
+}
+
+// `groups` colon-separated, with "::" in place of the `gap_len` groups
+// from `gap_start` (none when gap_start < 0; gap_len 0 compresses
+// nothing); each group padded to width() digits.
+template <typename Width>
+void append_groups(std::string& out, std::span<const unsigned> groups, int gap_start, int gap_len,
+                   Width width, bool upper) {
+  const int count = static_cast<int>(groups.size());
+  bool gap_written = false;
+  for (int i = 0; i < count;) {
+    if (i == gap_start && !gap_written) {
+      out += "::";
+      gap_written = true;
+      i += gap_len;
+      continue;
+    }
+    if (!out.empty() && out.back() != ':') out.push_back(':');
+    append_group(out, groups[static_cast<std::size_t>(i)], width(), upper);
+    ++i;
+  }
+  if (gap_start == count && !gap_written) out += "::";
+}
+
+// An address-shaped string: eight groups (zero-biased, so runs occur),
+// written out in full, with "::" over a random run (which may cover
+// non-zero groups or nothing), or with a dotted quad in place of the last
+// two groups; then, one time in three, damaged by one edit.
+void structured_candidate(std::mt19937_64& rng, std::string& out) {
+  const auto pick = [&rng](std::uint64_t n) { return static_cast<int>(rng() % n); };
+  out.clear();
+  std::array<unsigned, 8> groups{};
+  for (auto& g : groups) g = pick(3) == 0 ? 0u : static_cast<unsigned>(rng() >> (pick(4) * 4 + 48));
+  const bool upper = pick(4) == 0;
+  const bool quad = pick(4) == 0;
+  const int hex_groups = quad ? 6 : 8;
+  const bool gap = pick(3) != 0;
+  const int gap_start = gap ? pick(static_cast<std::uint64_t>(hex_groups) + 1) : -1;
+  const int gap_len = gap ? pick(static_cast<std::uint64_t>(hex_groups - gap_start) + 1) : 0;
+  const auto width = [&] {
+    const int roll = pick(40);
+    return roll == 0 ? 5 : roll < 10 ? 4 : 1;  // 5 digits is never valid
+  };
+  append_groups(out, std::span(groups).first(static_cast<std::size_t>(hex_groups)), gap_start,
+                gap_len, width, upper);
+  if (quad) {
+    if (!out.empty() && out.back() != ':') out.push_back(':');
+    const int octets = pick(8) == 0 ? 3 + 2 * pick(2) : 4;  // 3 or 5 octets sometimes
+    for (int k = 0; k < octets; ++k) {
+      if (k > 0) out.push_back('.');
+      const int roll = pick(20);
+      if (roll == 0) out.push_back('0');  // a leading zero
+      out += std::to_string(roll == 1 ? 256 + pick(744) : pick(256));
+    }
+  }
+  if (pick(3) != 0) return;
+  constexpr char kNoise[] = "0123456789abcdefABCDEF:.%g ";
+  const auto at = [&] { return static_cast<std::size_t>(pick(out.size() + 1)); };
+  switch (pick(9)) {
+    case 0: out.insert(at(), 1, kNoise[pick(sizeof kNoise - 1)]); break;
+    case 1: if (!out.empty()) out.erase(at() % out.size(), 1); break;
+    case 2: if (!out.empty()) out[at() % out.size()] = kNoise[pick(sizeof kNoise - 1)]; break;
+    case 3: out += "%eth0"; break;
+    case 4: out.push_back(':'); break;  // trailing colon
+    case 5: out.insert(0, 1, ':'); break;  // leading lone colon
+    case 6: out.insert(at(), "::"); break;  // a second gap, or a triple colon
+    case 7: out += ":1"; break;  // one group too many, unless a gap absorbs it
+    default: out = pick(2) == 0 ? ":" : "::"; break;
+  }
+}
+
+// Bytes drawn from the address alphabet plus a few strangers.
+void random_candidate(std::mt19937_64& rng, std::string& out) {
+  constexpr char kAlphabet[] = "0123456789abcdefABCDEF::::::::....%gx ";
+  out.clear();
+  const std::size_t length = rng() % 48;
+  for (std::size_t i = 0; i < length; ++i) out.push_back(kAlphabet[rng() % (sizeof kAlphabet - 1)]);
+}
+
+TEST(IPv6Differential, FourMillionStringsMatchReference) {
+  std::mt19937_64 rng(20261019);
+  ParserDiff diff;
+  std::string text;
+  for (int i = 0; i < 2'000'000; ++i) {
+    structured_candidate(rng, text);
+    diff.compare(text);
+    random_candidate(rng, text);
+    diff.compare(text);
+  }
+  EXPECT_EQ(diff.mismatches, 0u) << diff.examples;
+  EXPECT_EQ(diff.compared, 4'000'000u);
+  // The structured half must reach deep into the accept path.
+  EXPECT_GT(diff.accepted, 500'000u);
+}
+
+TEST(IPv6Differential, EveryGapPositionMatchesReference) {
+  // Every (start, length) of "::" over eight groups, including runs that
+  // cover non-zero groups and the empty run, with and without a final
+  // dotted quad.
+  std::mt19937_64 rng(7);
+  ParserDiff diff;
+  std::string text;
+  for (int sample = 0; sample < 200; ++sample) {
+    std::array<unsigned, 8> groups{};
+    for (auto& g : groups) g = static_cast<unsigned>(rng() % 3 == 0 ? 0 : rng() & 0xffff);
+    for (const bool quad : {false, true}) {
+      const int hex_groups = quad ? 6 : 8;
+      for (int start = 0; start <= hex_groups; ++start) {
+        for (int len = 0; start + len <= hex_groups; ++len) {
+          text.clear();
+          append_groups(text, std::span(groups).first(static_cast<std::size_t>(hex_groups)),
+                        start, len, [] { return 1; }, false);
+          if (quad) {
+            if (text.back() != ':') text.push_back(':');
+            text += std::to_string(groups[6] >> 8) + "." + std::to_string(groups[6] & 0xff) + "." +
+                    std::to_string(groups[7] >> 8) + "." + std::to_string(groups[7] & 0xff);
+          }
+          diff.compare(text);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(diff.mismatches, 0u) << diff.examples;
+  EXPECT_GT(diff.accepted, 0u);
 }
 
 TEST(IPv6Address, Rfc5952CompressesLongestRun) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <random>
 #include <string>
@@ -84,6 +85,12 @@ TEST(ServeSibDb, EmptyDatabaseRoundTrips) {
   ASSERT_TRUE(db.has_value());
   EXPECT_TRUE(db->empty());
   EXPECT_EQ(db->source_label(), "");
+}
+
+TEST(ServeSibDb, WriteToFullDeviceFails) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  EXPECT_FALSE(write_sibdb("/dev/full", {}));
+  EXPECT_FALSE(write_sibdb("/dev/full", sample_pairs(), "full"));
 }
 
 TEST(ServeSibDb, MoveTransfersMapping) {

@@ -163,6 +163,11 @@ TEST(StreamSpdl, WriteReadRoundTripsThroughDisk) {
   EXPECT_EQ(encode_spdl(*loaded), encode_spdl(fx.delta));
 }
 
+TEST(StreamSpdl, WriteToFullDeviceFails) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  EXPECT_FALSE(write_spdl("/dev/full", SibdbDelta{}));
+}
+
 TEST(StreamSpdl, EverySingleByteFlipIsRejected) {
   const Fixture fx = make_fixture("spdl_flip");
   const std::vector<std::uint8_t> bytes = encode_spdl(fx.delta);
