@@ -15,10 +15,8 @@
 //                                                # reports deleted/corrupted
 //                                                # outputs as "stale"
 //
-// Detection runs incrementally: each month applies a corpus delta to the
-// previous month's warm detector state and re-scores only the affected
-// prefixes; the pairs CSVs are byte-identical to a from-scratch run.
-// Consecutive .sibdb snapshots are additionally diffed into
+// Each month's detection is the exact scan over that month's own
+// corpus. Consecutive .sibdb snapshots are additionally diffed into
 // delta-<date>.spdl patch files sp_serve can RELOAD directly.
 //
 // --trace writes a Chrome-trace-format JSON of every stage execution

@@ -1,11 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 verification: full build + test suite, then a ThreadSanitizer
-# pass over the threaded engines (parallel detection, SP-Tuner, stream
-# detection, obs metrics/tracing), an ASan/UBSan pass over the
+# pass over the threaded engines (parallel detection, SP-Tuner, delta
+# hot-reload, obs metrics/tracing), an ASan/UBSan pass over the
 # parser-heavy I/O (CSV fuzz round-trip, Happy Eyeballs, manifest
 # UTF-8) and the flat corpus build, a loopback end-to-end smoke of the
-# sp_serve TCP front-end, stream-vs-exact identity smokes on a scaled
-# and a default universe, a chaos soak smoke (seeded fault injection
+# sp_serve TCP front-end, a chaos soak smoke (seeded fault injection
 # against the serve path — plain with RSS/p99 bounds, under ASan, and
 # in external mode against a real sp_serve — plus a SIGINT-and-resume
 # smoke on sp_pipeline), and the project linter (sp_lint) over the
@@ -34,18 +33,17 @@ cmake --build build -j "$JOBS"
 # backpressure, and the acceptor's inbox handoff. The detection suite
 # asserts byte-identity with the serial oracle at every thread count,
 # on a scale-3 universe too, so a race would also surface as a wrong
-# answer. The stream suites race the delta re-scan workers
-# (byte-identity with the exact engine across thread counts) and delta
-# hot-reloads against concurrent sp_serve queries. The chaos soak suite
-# races the entire serving stack at once — probe threads, fault
-# injection, RELOAD churn — and the signal suite races the graceful-stop
-# flag against the DAG scheduler's in-flight stages.
+# answer. The stream suites race delta hot-reloads against concurrent
+# sp_serve queries. The chaos soak suite races the entire serving stack
+# at once — probe threads, fault injection, RELOAD churn — and the
+# signal suite races the graceful-stop flag against the DAG scheduler's
+# in-flight stages.
 cmake -B build-tsan -S . -DSP_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS" --target core_detect_parallel_test \
   core_sptuner_parallel_test serve_lookup_test serve_service_test \
   core_worker_pool_test pipeline_stage_graph_test pipeline_resume_test \
   obs_metrics_test obs_trace_test net_server_test net_protocol_test \
-  stream_detector_test stream_spdl_test stream_serve_delta_test \
+  stream_spdl_test stream_serve_delta_test \
   chaos_scenario_test chaos_soak_test pipeline_signal_test
 (cd build-tsan && ctest --output-on-failure -j "$JOBS" \
   -R 'DetectParallel|Parallel|Serve|PipelineStageGraph|PipelineResume\.SerialAndDag|PipelineSignal|WorkerPool|Obs|NetServer|NetProtocol|Stream|Chaos')
@@ -131,24 +129,7 @@ if [ "$SIGPIPE_STATUS" -ne 0 ]; then
   exit 1
 fi
 
-# Stage 5: scale smoke — the stream engine chained across three months
-# of a scale-2 universe (replicated hypergiant edge clusters, where each
-# element's posting list names a whole cluster of candidates), compared
-# with a from-scratch exact run every month; sp_stream_smoke exits
-# non-zero on the first byte difference. Before each whole month it
-# applies single-prefix slices of the month's delta, which take the
-# incremental path (dirty-set re-scan and sorted-list merge), each
-# checked against the serial oracle. Small org/month counts keep the
-# universe build to a few seconds.
-./build/examples/sp_stream_smoke --scale 2 --orgs 8 --months 3 --threads 2
-
-# Stage 6: incremental-vs-scratch smoke — the stream engine chained
-# across three synthetic months, memcmp-compared against a from-scratch
-# exact run after every month (sp_stream_smoke exits non-zero on the
-# first byte difference; see DESIGN.md §3.8 for the dirty-set argument).
-./build/examples/sp_stream_smoke --months 3 --threads 2
-
-# Stage 7: chaos soak smoke — sp_soak runs a seeded fault schedule
+# Stage 5: chaos soak smoke — sp_soak runs a seeded fault schedule
 # (query bursts, slow and mid-frame-disconnecting readers, connection
 # floods, RELOAD churn with valid, delta and corrupt images) against the
 # serve path and audits every invariant: liveness, corrupt-swap
@@ -205,7 +186,7 @@ if [ "$CAMP_STATUS" -ne 130 ] && [ "$CAMP_STATUS" -ne 0 ]; then
 fi
 ./build/examples/sp_pipeline resume "$SMOKE_DIR/camp" --threads 2
 
-# Stage 8: the project linter — the per-file rule catalog plus the
+# Stage 6: the project linter — the per-file rule catalog plus the
 # cross-file semantic passes (DESIGN.md §3.10): lock-rank against the
 # §3.5 table, the layering DAG against src/lint/layers.def, the
 # snapshot-escape rule, and the stale-suppression audit (both auto-

@@ -42,8 +42,12 @@ DomainSpan SetCorpus::domains_of(const Prefix& prefix) const noexcept {
 
 namespace {
 
-/// One-shot detection: scan_sharded over every source of both
-/// directions, then the global sort + dedup.
+[[nodiscard]] double elapsed_ms(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+/// scan_sharded over both directions, then the global sort + dedup.
 std::vector<SiblingPair> detect_indexed(const DetectIndex& index, const DetectOptions& options) {
   const auto run_start = std::chrono::steady_clock::now();
   WorkerPool pool(options.threads);
@@ -52,14 +56,12 @@ std::vector<SiblingPair> detect_indexed(const DetectIndex& index, const DetectOp
   std::vector<SiblingPair> pairs;
   for (const Family from : {Family::v4, Family::v6}) {
     const auto start = std::chrono::steady_clock::now();
-    detail::scan_sharded(pool, index, from, detail::all_sources(index.side(from)),
-                         options.metric, "detect", pairs, stats);
-    (from == Family::v4 ? stats.v4_direction_ms : stats.v6_direction_ms) =
-        detail::elapsed_ms(start);
+    detail::scan_sharded(pool, index, from, options.metric, pairs, stats);
+    (from == Family::v4 ? stats.v4_direction_ms : stats.v6_direction_ms) = elapsed_ms(start);
   }
   const auto merge_start = std::chrono::steady_clock::now();
   detail::sort_unique(pairs);
-  stats.merge_ms = detail::elapsed_ms(merge_start);
+  stats.merge_ms = elapsed_ms(merge_start);
 
   // Registry updates once per run, never per prefix: aggregate counts and
   // one whole-run latency sample.
@@ -69,7 +71,7 @@ std::vector<SiblingPair> detect_indexed(const DetectIndex& index, const DetectOp
   registry.counter("detect.candidates_evaluated")
       .add(static_cast<std::int64_t>(stats.candidates_evaluated));
   registry.histogram("detect.run_us")
-      .record(static_cast<std::uint64_t>(detail::elapsed_ms(run_start) * 1000.0));
+      .record(static_cast<std::uint64_t>(elapsed_ms(run_start) * 1000.0));
   if (options.stats != nullptr) *options.stats = stats;
   return pairs;
 }

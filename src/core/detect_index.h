@@ -77,7 +77,7 @@ struct DetectIndex {
     /// `elements` must be sorted and duplicate-free, each below
     /// kElementLimit. Throws std::length_error past 2^32 set elements,
     /// where the uint32 offsets would wrap. The one row writer of every
-    /// index build and of DetectIndexOverlay::apply.
+    /// index build.
     void append(const Prefix& prefix, std::span<const DomainId> elements);
 
     /// Derives the posting CSR from the set CSR by counting sort: pass 1

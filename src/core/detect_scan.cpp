@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <string>
 
@@ -91,36 +93,32 @@ constexpr std::size_t kChunk = 32;
 
 }  // namespace
 
-std::vector<std::size_t> scan_sharded(WorkerPool& pool, const DetectIndex& index, Family from,
-                                      std::span<const std::uint32_t> sources, Metric metric,
-                                      std::string_view engine, std::vector<SiblingPair>& out,
-                                      DetectStats& stats) {
+void scan_sharded(WorkerPool& pool, const DetectIndex& index, Family from, Metric metric,
+                  std::vector<SiblingPair>& out, DetectStats& stats) {
   // Cache-line aligned so one worker's counter writes never share a line
   // with its neighbour's.
   struct alignas(64) Worker {
     std::vector<SiblingPair> pairs;
     DetectStats stats;
   };
-  /// Which worker claimed a chunk, and where its output starts in that
-  /// worker's buffer.
-  struct ChunkOwner {
+  /// Which worker scanned a chunk, and the slice of that worker's buffer
+  /// that holds the chunk's pairs.
+  struct Chunk {
     unsigned worker = 0;
     std::size_t offset = 0;
+    std::size_t emitted = 0;
   };
 
   const DetectIndex::Side& from_side = index.side(from);
   const DetectIndex::Side& to_side = index.side(from == Family::v4 ? Family::v6 : Family::v4);
   std::vector<Worker> workers(pool.thread_count());
 
-  const std::size_t count = sources.size();
-  std::vector<ChunkOwner> chunks((count + kChunk - 1) / kChunk);
-  // Per-source emission counts until the join, then prefix-summed.
-  std::vector<std::size_t> offsets(count + 1, 0);
+  const std::size_t count = from_side.prefix_count();
+  std::vector<Chunk> chunks((count + kChunk - 1) / kChunk);
   std::atomic<std::size_t> next{0};
-  const std::string span_prefix =
-      std::string(engine) + (from == Family::v4 ? ".v4.shard" : ".v6.shard");
+  const std::string span_prefix = from == Family::v4 ? "detect.v4.shard" : "detect.v6.shard";
   const std::function<void(unsigned)> job = [&](unsigned id) {
-    const obs::ScopedSpan span(span_prefix + std::to_string(id), engine);
+    const obs::ScopedSpan span(span_prefix + std::to_string(id), "detect");
     // Built on the worker's own thread: built up front by the caller, it
     // made a cold 4-thread detection ~25% slower on a 4-core x86 host.
     ScanScratch scratch(to_side.prefix_count());
@@ -131,30 +129,26 @@ std::vector<std::size_t> scan_sharded(WorkerPool& pool, const DetectIndex& index
       const std::size_t begin = next.fetch_add(kChunk, std::memory_order_relaxed);
       if (begin >= count) return;
       const std::size_t end = std::min(count, begin + kChunk);
-      chunks[begin / kChunk] = {id, worker.pairs.size()};
-      for (std::size_t i = begin; i < end; ++i) {
-        const std::size_t emitted_before = worker.pairs.size();
-        scan_source(from_side, to_side, from, metric, sources[i], scratch, worker.pairs,
-                    worker.stats);
-        offsets[i + 1] = worker.pairs.size() - emitted_before;
+      const std::size_t offset = worker.pairs.size();
+      for (std::size_t source = begin; source < end; ++source) {
+        scan_source(from_side, to_side, from, metric, static_cast<std::uint32_t>(source),
+                    scratch, worker.pairs, worker.stats);
       }
+      chunks[begin / kChunk] = {id, offset, worker.pairs.size() - offset};
     }
   };
   pool.run(job);
 
-  offsets[0] = out.size();
-  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
-  out.reserve(offsets.back());
-  for (std::size_t chunk = 0; chunk < chunks.size(); ++chunk) {
-    const std::size_t first = chunk * kChunk;
-    const std::size_t emitted = offsets[std::min(count, first + kChunk)] - offsets[first];
-    const auto begin = workers[chunks[chunk].worker].pairs.begin() +
-                       static_cast<std::ptrdiff_t>(chunks[chunk].offset);
-    out.insert(out.end(), begin, begin + static_cast<std::ptrdiff_t>(emitted));
+  std::size_t total = out.size();
+  for (const Chunk& chunk : chunks) total += chunk.emitted;
+  out.reserve(total);
+  for (const Chunk& chunk : chunks) {
+    const auto begin =
+        workers[chunk.worker].pairs.begin() + static_cast<std::ptrdiff_t>(chunk.offset);
+    out.insert(out.end(), begin, begin + static_cast<std::ptrdiff_t>(chunk.emitted));
   }
   for (const Worker& worker : workers) stats.add_counters(worker.stats);
   stats.prefixes_scanned += count;
-  return offsets;
 }
 
 }  // namespace sp::core::detail

@@ -46,9 +46,8 @@ class WorkerPool {
   unsigned thread_count_;
 
   // lock-order: 40 core.worker_pool.mutex (innermost engine lock:
-  // nests inside serve.service.pool_mutex via query_many → run() and
-  // inside pipeline.campaign.stream_mutex via a detect stage's scan;
-  // never held while a job executes)
+  // nests inside serve.service.pool_mutex via query_many → run(); never
+  // held while a job executes)
   std::mutex mutex_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;

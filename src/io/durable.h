@@ -6,7 +6,7 @@
 // crash can roll the directory entry back to the old file — or to no
 // file at all for a first write. The pipeline checkpoints got this right
 // from the start (pipeline/checkpoint.cpp); this header factors the
-// sequence out so the stream engine's .sibdb publication (stream/spdl.cpp)
+// sequence out so the delta log's .sibdb publication (stream/spdl.cpp)
 // and any future writer share one audited implementation instead of
 // re-deriving it.
 #pragma once

@@ -14,19 +14,16 @@
 
 #include "bgp/rib.h"
 #include "core/corpus.h"
-#include "core/corpus_delta.h"
 #include "core/detect.h"
 #include "core/sibling_diff.h"
 #include "core/sibling_list_io.h"
 #include "core/sptuner.h"
 #include "io/snapshot_csv.h"
-#include "lint/lock_order.h"
 #include "mrt/file.h"
 #include "obs/trace.h"
 #include "pipeline/checkpoint.h"
 #include "serve/sibdb.h"
 #include "stream/spdl.h"
-#include "stream/stream_detector.h"
 #include "synth/universe.h"
 
 namespace sp::pipeline {
@@ -228,19 +225,6 @@ class Runner {
   // pipeline.stage_graph.observer_mutex)
   std::mutex pending_mutex_;
   std::unordered_map<std::string, StageRecord> pending_;
-
-  /// Warm detection state: the detector retains month `stream_month_`'s
-  /// index and per-source emissions; month m applies a delta when it
-  /// directly follows (stream_month_ == m - 1) and falls back to a full
-  /// init otherwise (e.g. a resume gap — byte-identical either way).
-  /// Detect stages are chained in the DAG, so contention is nil; the
-  /// mutex makes the hand-off explicit and keeps the invariant checkable.
-  // lock-order: 37 pipeline.campaign.stream_mutex (taken from detect
-  // stage bodies only, after the month corpus mutex is released; leaf —
-  // nothing is acquired under it)
-  std::mutex stream_mutex_;
-  int stream_month_ = -1;
-  stream::StreamDetector stream_;
 };
 
 Runner::StageId Runner::add_stage(std::string name, std::vector<StageId> deps,
@@ -516,35 +500,14 @@ void Runner::build_graph() {
           return atomic_write_file(abs(corpus_name(m)), text, error);
         });
 
-    // detect[m] chains on detect[m-1]: the dependency hands month m-1's
-    // warm detector state to month m, turning the campaign into a rolling
-    // delta pipeline.
-    std::vector<StageId> detect_deps{corpus_ids[m]};
-    if (m > 0) detect_deps.push_back(detect_ids[m - 1]);
+    // One thread per detect stage: the DAG runs several months at once.
     detect_ids[m] = add_stage(
-        "detect[" + d + "]", std::move(detect_deps), detect_hash, {pairs_name(m)},
+        "detect[" + d + "]", {corpus_ids[m]}, detect_hash, {pairs_name(m)},
         [this, m](std::string* error) {
           const auto corpus = corpus_for(m, error);
           if (!corpus) return false;
-          const std::lock_guard<std::mutex> lock(stream_mutex_);
-          // Held across the detector's pool runs (rank 40 > 37): the
-          // runtime checker sees the ordered pair on every stream month.
-          [[maybe_unused]] const lint::LockOrderScope held("pipeline.campaign.stream_mutex");
-          try {
-            if (stream_month_ == m - 1 && stream_.initialized()) {
-              stream_.apply(
-                  core::CorpusDelta::between(stream_.index(), corpus->detect_index()));
-            } else {
-              // Cold start or resume gap (the previous month was cached):
-              // scan from scratch — still byte-identical.
-              stream_.init(corpus->detect_index());
-            }
-          } catch (const std::exception& e) {
-            *error = std::string("stream detect: ") + e.what();
-            return false;
-          }
-          stream_month_ = m;
-          return write_pairs(pairs_name(m), stream_.pairs(), error);
+          return write_pairs(pairs_name(m), core::detect_sibling_prefixes(*corpus, {.threads = 1}),
+                             error);
         });
 
     // sptuner[m] writes the month's published list, which the sibdb, diff

@@ -12,10 +12,8 @@
 //   corpus[d]   rib + snapshot files → DualStackCorpus (kept in memory
 //               for the month's detect/sptuner stages) + corpus-<d>.txt
 //               stats marker
-//   detect[d]   sibling pair detection → pairs-<d>.csv: applies the
-//               month's corpus delta to the warm sp::stream detector
-//               (month-0 or a resume gap: a full init). Depends on
-//               detect[m-1]: the second cross-month chain.
+//   detect[d]   sibling pair detection → pairs-<d>.csv: the exact scan
+//               over the month's own corpus, on one thread
 //   sptuner[d]  SP-Tuner-MS refinement → the published list
 //               siblings-<d>.csv
 //   sibdb[d]    binary serving snapshot → siblings-<d>.sibdb (directly
@@ -25,11 +23,11 @@
 //   diff[d',d]  release diff of consecutive published lists → diff-<d>.csv
 //   longitudinal  fan-in over every published list + diff → longitudinal.csv
 //
-// Months are independent except for the evolve and detect chains, so a
-// multi-worker pool pipelines them: month 3 can be detecting while month
-// 5 exports and month 2's checkpoints fsync. Workers take the ready stage
-// added first, which is the earliest month's, so a month finishes and
-// releases its corpus before later months pile up.
+// Months are independent except for the evolve chain, so a multi-worker
+// pool pipelines them: month 3 can be detecting while month 5 exports and
+// month 2's checkpoints fsync. Workers take the ready stage added first,
+// which is the earliest month's, so a month finishes and releases its
+// corpus before later months pile up.
 //
 // Checkpointing (see checkpoint.h): every stage's inputs hash chains the
 // stage name, its config component (synth config for evolve/export,

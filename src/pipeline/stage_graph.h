@@ -31,8 +31,8 @@
 //
 // Stage bodies must not throw (the pool terminates on escaping
 // exceptions) and must not call run() on the pool that is executing
-// them. Inner parallelism belongs to a pool of its own — the campaign's
-// detect stages scan on the stream detector's pool.
+// them. Inner parallelism belongs to a pool of its own — each of the
+// campaign's detect stages scans on a one-thread pool of its own.
 #pragma once
 
 #include <atomic>

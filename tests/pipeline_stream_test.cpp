@@ -1,9 +1,9 @@
-// The rolling-campaign contract: the detect stages (one StreamDetector
-// chained across the months) write pairs CSVs byte-identical to
-// from-scratch detection over each month's own artifacts; the per-month
-// .spdl delta logs chain each sibdb snapshot to the next; and
-// stale_stages catches checkpoints whose on-disk artifact was deleted or
-// corrupted after the run ("stale", not "done").
+// The campaign's per-month contract: each month's detect stage writes a
+// pairs CSV byte-identical to the serial oracle over that month's own
+// artifacts, and a month whose detect stage fails stops only its own
+// cone; the per-month .spdl delta logs chain each sibdb snapshot to the
+// next; and stale_stages catches checkpoints whose on-disk artifact was
+// deleted or corrupted after the run ("stale", not "done").
 #include "pipeline/campaign.h"
 
 #include <gtest/gtest.h>
@@ -11,8 +11,10 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bgp/rib.h"
@@ -23,6 +25,7 @@
 #include "mrt/file.h"
 #include "serve/sibdb.h"
 #include "stream/spdl.h"
+#include "synth/universe.h"
 
 namespace sp::pipeline {
 namespace {
@@ -80,10 +83,10 @@ TEST(PipelineStream, PairsMatchSerialOracleEveryMonth) {
   const auto report = Campaign(small_config(dir)).run(/*resume=*/false);
   ASSERT_TRUE(report.ok) << report.error;
 
-  // Every month's pairs CSV — the detect stage's output, chained through
-  // the warm StreamDetector — must equal the serial oracle's list over a
-  // corpus rebuilt from that month's own rib and snapshot artifacts: the
-  // incremental-vs-scratch identity check at campaign scope.
+  // Every month's pairs CSV — the detect stage's output — must equal the
+  // serial oracle's list over a corpus rebuilt from that month's own rib
+  // and snapshot artifacts: the sharded-vs-serial identity check at
+  // campaign scope.
   const auto pair_files = artifacts_matching(dir, "pairs-", ".csv");
   ASSERT_EQ(pair_files.size(), 3u);
   for (const std::string& pairs_file : pair_files) {
@@ -98,6 +101,39 @@ TEST(PipelineStream, PairsMatchSerialOracleEveryMonth) {
     ASSERT_TRUE(
         core::write_sibling_list(oracle, core::detect_sibling_prefixes_serial(corpus)));
     EXPECT_EQ(read_file(dir + "/" + pairs_file), read_file(oracle)) << pairs_file;
+  }
+}
+
+TEST(PipelineDetect, FailedMonthSkipsOnlyItsOwnCone) {
+  const std::string dir = fresh_dir("sp_campaign_bad_detect");
+  const CampaignConfig config = small_config(dir);
+  const synth::SyntheticInternet universe(config.synth);
+  const std::string d0 = universe.date_of_month(0).to_string();
+  const std::string d1 = universe.date_of_month(1).to_string();
+  const std::string d2 = universe.date_of_month(2).to_string();
+
+  // A non-empty directory where month 1's pairs CSV goes: the detect
+  // stage writes its temp file, and the final rename onto it fails.
+  std::filesystem::create_directories(dir + "/pairs-" + d1 + ".csv/occupied");
+  const auto report = Campaign(config).run(/*resume=*/false);
+  EXPECT_FALSE(report.ok);
+
+  // Month 1's cone: its tuner and snapshot, every delta log and diff
+  // touching it, and the longitudinal fan-in. Every other stage runs,
+  // the detection of months 0 and 2 included.
+  const std::set<std::string> cone = {"sptuner[" + d1 + "]",
+                                      "sibdb[" + d1 + "]",
+                                      "sibdelta[" + d0 + ".." + d1 + "]",
+                                      "sibdelta[" + d1 + ".." + d2 + "]",
+                                      "diff[" + d0 + ".." + d1 + "]",
+                                      "diff[" + d1 + ".." + d2 + "]",
+                                      "longitudinal"};
+  ASSERT_EQ(report.stages.size(), 23u);  // 3 months x 6 + 2 sibdeltas + 2 diffs + longitudinal
+  for (const StageResult& stage : report.stages) {
+    const std::string_view want = stage.name == "detect[" + d1 + "]" ? "failed"
+                                  : cone.contains(stage.name)        ? "skipped"
+                                                                     : "done";
+    EXPECT_EQ(to_string(stage.status), want) << stage.name;
   }
 }
 

@@ -9,7 +9,7 @@
 // when present), snapshot-escape, and the stale-suppression audit.
 // Prints file:line diagnostics (or a JSON report with --json) and exits
 // 1 when any unsuppressed finding remains — the contract tier1.sh
-// stage 8 and the CI lint job enforce. Suppressed findings are listed
+// stage 6 and the CI lint job enforce. Suppressed findings are listed
 // with their reasons so the escape hatches stay auditable.
 #include <cstdio>
 #include <cstring>
