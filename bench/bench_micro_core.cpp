@@ -1,12 +1,11 @@
 // Microbenchmarks (google-benchmark) for the performance-critical kernels:
-// Patricia trie operations, similarity kernels, DNS and MRT codecs, corpus
+// Patricia trie operations, similarity kernels, the MRT codec, corpus
 // construction, detection and SP-Tuner.
 #include <benchmark/benchmark.h>
 
 #include <random>
 
 #include "bench_common.h"
-#include "dns/wire.h"
 #include "mrt/codec.h"
 #include "he/happy_eyeballs.h"
 #include "netbase/prefix_set.h"
@@ -70,24 +69,6 @@ void BM_JaccardKernel(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_JaccardKernel)->Arg(16)->Arg(256)->Arg(4096);
-
-void BM_DnsWireRoundTrip(benchmark::State& state) {
-  dns::Message message;
-  message.header.id = 7;
-  message.header.qr = true;
-  message.questions.push_back({dns::DomainName::must_parse("www.example.org"),
-                               dns::RecordType::A});
-  for (int i = 0; i < 8; ++i) {
-    message.answers.push_back(dns::ResourceRecord::a(
-        dns::DomainName::must_parse("www.example.org"), IPv4Address::from_octets(5, 6, 7, 8)));
-  }
-  for (auto _ : state) {
-    const auto wire = dns::encode_message(message);
-    benchmark::DoNotOptimize(dns::decode_message(wire));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_DnsWireRoundTrip);
 
 void BM_MrtDumpRoundTrip(benchmark::State& state) {
   const auto dump = spbench::universe().mrt_dump();

@@ -3,12 +3,13 @@
 # pass over the threaded engines (parallel detection, SP-Tuner, delta
 # hot-reload, obs metrics/tracing), an ASan/UBSan pass over the
 # parser-heavy I/O (CSV fuzz round-trip, Happy Eyeballs, manifest
-# UTF-8) and the flat corpus build, a loopback end-to-end smoke of the
-# sp_serve TCP front-end, a chaos soak smoke (seeded fault injection
-# against the serve path — plain with RSS/p99 bounds, under ASan, and
-# in external mode against a real sp_serve — plus a SIGINT-and-resume
-# smoke on sp_pipeline), and the project linter (sp_lint) over the
-# whole tree.
+# UTF-8, zone files, MRT dumps) and the flat corpus build, a loopback
+# end-to-end smoke of the sp_serve TCP front-end, a chaos soak smoke
+# (seeded fault injection against the serve path — plain with RSS/p99
+# bounds, under ASan, and in external mode against a real sp_serve —
+# plus a SIGINT-and-resume smoke on sp_pipeline), sp_pipeline's `.zone`
+# input held byte for byte to its snapshot-CSV input, and the project
+# linter (sp_lint) over the whole tree.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -64,14 +65,19 @@ cmake --build build-tsan -j "$JOBS" --target core_detect_parallel_test \
 # host-bit masks (a shift by the full address width is undefined) and
 # its ends at the top of each family's space. The SP-Tuner reference
 # suite drives the tuner's row indexes into the host ranges and its
-# per-domain mask scratch on seeded months.
+# per-domain mask scratch on seeded months. The zone-file and domain-name
+# suites drive the master-file tokenizer's index arithmetic (comments,
+# quotes, parenthesized continuations, unterminated quotes and parens),
+# and the MRT and decoder-robustness suites drive the TABLE_DUMP_V2 and
+# BGP4MP decoders over golden, truncated, bit-flipped and random dumps.
 cmake -B build-asan -S . -DSP_SANITIZE=address,undefined
 cmake --build build-asan -j "$JOBS" --target io_csv_test io_snapshot_csv_test netbase_ip_test \
   he_happy_eyeballs_test pipeline_manifest_test \
   core_corpus_detect_test core_corpus_reference_test core_setcorpus_test core_sptuner_test \
-  core_sptuner_reference_test
+  core_sptuner_reference_test dns_zonefile_test dns_name_test mrt_codec_test \
+  mrt_bgp4mp_test codec_robustness_test
 (cd build-asan && ctest --output-on-failure -j "$JOBS" \
-  -R 'Csv|IPv4|IPv6|IPAddress|HappyEyeballs|PipelineManifest|DualStackCorpus|DetectSiblings|SetCorpus|SpTuner|CorpusReference')
+  -R 'Csv|IPv4|IPv6|IPAddress|HappyEyeballs|PipelineManifest|DualStackCorpus|DetectSiblings|SetCorpus|SpTuner|CorpusReference|ZoneFile|DomainName|Mrt|Bgp4mp|Rib|DecoderFuzzProperty|FileFormatRobustness')
 
 # Stage 4: loopback end-to-end smoke of the TCP front-end — the real
 # binaries, a real socket. Convert a tiny fixture, start sp_serve
@@ -169,24 +175,36 @@ SOAK_PORT="$(sed -n 's/^LISTENING .*:\([0-9]*\)$/\1/p' "$SMOKE_DIR/soak-serve.ou
 kill -INT "$SOAK_SERVE_PID" && wait "$SOAK_SERVE_PID"
 
 # Signal-and-resume smoke: a real SIGINT to a real sp_pipeline process
-# mid-campaign. Graceful stop exits 130 (or 0 if the campaign won the
-# race and finished); resume must then converge to a complete manifest.
-# The library-level byte-identity proof lives in pipeline_signal_test;
-# this checks the process-level signal plumbing.
+# mid-campaign. The signal goes out once manifest.json exists (the runner
+# saves it after every stage), so at least one stage has finished and
+# most of the campaign has not. The graceful stop must exit 130, and the
+# resume must re-run at least one stage and converge to a complete
+# manifest. The library-level byte-identity proof lives in
+# pipeline_signal_test; this checks the process-level signal plumbing.
 ./build/examples/sp_pipeline run "$SMOKE_DIR/camp" --months 12 --orgs 1500 --threads 2 \
   > "$SMOKE_DIR/camp.out" 2>&1 &
 CAMP_PID=$!
-sleep 1
+for _ in $(seq 1000); do
+  [ -e "$SMOKE_DIR/camp/manifest.json" ] && break
+  sleep 0.01
+done
 kill -INT "$CAMP_PID" 2> /dev/null || true
 wait "$CAMP_PID" && CAMP_STATUS=0 || CAMP_STATUS=$?
-if [ "$CAMP_STATUS" -ne 130 ] && [ "$CAMP_STATUS" -ne 0 ]; then
-  echo "tier1: sp_pipeline SIGINT exited $CAMP_STATUS (want 130 or 0)" >&2
+if [ "$CAMP_STATUS" -ne 130 ]; then
+  echo "tier1: sp_pipeline SIGINT exited $CAMP_STATUS (want 130)" >&2
   cat "$SMOKE_DIR/camp.out" >&2
   exit 1
 fi
-./build/examples/sp_pipeline resume "$SMOKE_DIR/camp" --threads 2
+./build/examples/sp_pipeline resume "$SMOKE_DIR/camp" --threads 2 | tee "$SMOKE_DIR/resume.out"
+grep -qE '^OK: [1-9][0-9]* done,' "$SMOKE_DIR/resume.out" \
+  || { echo "tier1: the resume re-ran no stage, so no stop was checked" >&2; exit 1; }
 
-# Stage 6: the project linter — the per-file rule catalog plus the
+# Stage 6: sp_pipeline's `.zone` input end to end, the one product path
+# into the zone parser and CNAME resolution: the demo's snapshot rendered
+# as a zone file must yield the demo's sibling list byte for byte.
+scripts/zone_vs_csv.sh
+
+# Stage 7: the project linter — the per-file rule catalog plus the
 # cross-file semantic passes (DESIGN.md §3.10): lock-rank against the
 # §3.5 table, the layering DAG against src/lint/layers.def, the
 # snapshot-escape rule, and the stale-suppression audit (both auto-

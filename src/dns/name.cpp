@@ -49,71 +49,4 @@ DomainName DomainName::must_parse(std::string_view text) {
   return *std::move(parsed);
 }
 
-std::vector<std::string_view> DomainName::labels() const {
-  std::vector<std::string_view> out;
-  if (is_root()) return out;
-  const std::string_view view(text_);
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t dot = view.find('.', start);
-    if (dot == std::string_view::npos) {
-      out.push_back(view.substr(start));
-      return out;
-    }
-    out.push_back(view.substr(start, dot - start));
-    start = dot + 1;
-  }
-}
-
-std::size_t DomainName::label_count() const noexcept {
-  if (is_root()) return 0;
-  return static_cast<std::size_t>(std::count(text_.begin(), text_.end(), '.')) + 1;
-}
-
-DomainName DomainName::parent() const {
-  const std::size_t dot = text_.find('.');
-  if (dot == std::string::npos) return DomainName();
-  return DomainName(text_.substr(dot + 1));
-}
-
-bool DomainName::is_subdomain_of(const DomainName& ancestor) const noexcept {
-  if (ancestor.is_root()) return true;
-  if (text_.size() < ancestor.text_.size()) return false;
-  if (text_.size() == ancestor.text_.size()) return text_ == ancestor.text_;
-  const std::size_t offset = text_.size() - ancestor.text_.size();
-  return text_[offset - 1] == '.' &&
-         std::string_view(text_).substr(offset) == ancestor.text_;
-}
-
-std::string_view DomainName::tld() const noexcept {
-  if (is_root()) return {};
-  const std::size_t dot = text_.rfind('.');
-  return std::string_view(text_).substr(dot == std::string::npos ? 0 : dot + 1);
-}
-
-DomainName reverse_name(const IPAddress& address) {
-  std::string text;
-  if (address.is_v4()) {
-    const auto octets = address.v4().octets();
-    for (int i = 3; i >= 0; --i) {
-      text += std::to_string(octets[static_cast<std::size_t>(i)]);
-      text.push_back('.');
-    }
-    text += "in-addr.arpa";
-  } else {
-    constexpr char kHex[] = "0123456789abcdef";
-    // Copy: v6() returns a temporary; a reference to its bytes would dangle.
-    const IPv6Address::Bytes bytes = address.v6().bytes();
-    for (int i = 15; i >= 0; --i) {
-      const std::uint8_t byte = bytes[static_cast<std::size_t>(i)];
-      text.push_back(kHex[byte & 0xF]);
-      text.push_back('.');
-      text.push_back(kHex[byte >> 4]);
-      text.push_back('.');
-    }
-    text += "ip6.arpa";
-  }
-  return DomainName::must_parse(text);
-}
-
 }  // namespace sp::dns

@@ -12,9 +12,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
-
-#include "netbase/ip.h"
 
 namespace sp::dns {
 
@@ -39,22 +36,6 @@ class DomainName {
   [[nodiscard]] const std::string& text() const noexcept { return text_; }
   [[nodiscard]] std::string to_string() const { return is_root() ? "." : text_; }
 
-  /// Labels from leftmost to rightmost ("www", "example", "org").
-  [[nodiscard]] std::vector<std::string_view> labels() const;
-
-  [[nodiscard]] std::size_t label_count() const noexcept;
-
-  /// The name with the leftmost label removed ("example.org"); root for a
-  /// single-label name.
-  [[nodiscard]] DomainName parent() const;
-
-  /// True when this name equals `ancestor` or is underneath it.
-  /// Every name is under the root.
-  [[nodiscard]] bool is_subdomain_of(const DomainName& ancestor) const noexcept;
-
-  /// The rightmost label ("org"), or empty for the root.
-  [[nodiscard]] std::string_view tld() const noexcept;
-
   friend auto operator<=>(const DomainName&, const DomainName&) = default;
 
  private:
@@ -62,11 +43,6 @@ class DomainName {
 
   std::string text_;
 };
-
-/// Reverse-DNS name of an address: dotted-quad octets under in-addr.arpa
-/// for IPv4 (RFC 1035 section 3.5), reversed nibbles under ip6.arpa for
-/// IPv6 (RFC 3596 section 2.5).
-[[nodiscard]] DomainName reverse_name(const IPAddress& address);
 
 }  // namespace sp::dns
 

@@ -1,6 +1,6 @@
 // DNS resource record model: the record types the sibling-prefix pipeline
-// needs (A, AAAA, CNAME) plus NS/MX/TXT for realistic zones and wire-codec
-// coverage.
+// needs (A, AAAA, CNAME) plus the NS/PTR/MX/TXT/SOA records that real zone
+// files carry, so the zone-file parser can validate and keep every line.
 #pragma once
 
 #include <cstdint>
@@ -21,16 +21,10 @@ enum class RecordType : std::uint16_t {
   MX = 15,
   TXT = 16,
   AAAA = 28,
-  OPT = 41,  // EDNS(0) pseudo-RR, RFC 6891
 };
 
-[[nodiscard]] std::string_view record_type_name(RecordType type) noexcept;
-
-/// DNS CLASS; only IN is modeled.
-inline constexpr std::uint16_t kClassIn = 1;
-
-/// SOA RDATA (RFC 1035 section 3.3.13); returned in the authority
-/// section of negative answers (RFC 2308).
+/// SOA RDATA (RFC 1035 section 3.3.13): a zone's primary server, contact
+/// mailbox and timers.
 struct SoaData {
   DomainName mname;   // primary name server
   DomainName rname;   // responsible mailbox, encoded as a name
@@ -53,33 +47,13 @@ struct TxtData {
   friend auto operator<=>(const TxtData&, const TxtData&) = default;
 };
 
-/// One EDNS option (RFC 6891 section 6.1.2).
-struct EdnsOption {
-  std::uint16_t code = 0;
-  std::vector<std::uint8_t> data;
-  friend auto operator<=>(const EdnsOption&, const EdnsOption&) = default;
-};
-
-/// EDNS(0) OPT pseudo-record payload. On the wire the requestor's UDP
-/// payload size rides in the CLASS field and the extended rcode/version/DO
-/// flag in the TTL field; the codec maps them here.
-struct OptData {
-  std::uint16_t udp_payload_size = 1232;
-  std::uint8_t extended_rcode = 0;
-  std::uint8_t version = 0;
-  bool dnssec_ok = false;
-  std::vector<EdnsOption> options;
-  friend auto operator<=>(const OptData&, const OptData&) = default;
-};
-
 /// The typed RDATA payload of a record.
 using RData = std::variant<IPv4Address,  // A
                            IPv6Address,  // AAAA
-                           DomainName,   // CNAME / NS target
+                           DomainName,   // CNAME / NS / PTR target
                            MxData,       // MX
                            TxtData,      // TXT
-                           SoaData,      // SOA
-                           OptData>;     // OPT (EDNS)
+                           SoaData>;     // SOA
 
 struct ResourceRecord {
   DomainName name;
@@ -118,9 +92,6 @@ struct ResourceRecord {
   [[nodiscard]] static ResourceRecord ptr(DomainName reverse_name, DomainName target,
                                           std::uint32_t ttl = 3600) {
     return {std::move(reverse_name), RecordType::PTR, ttl, std::move(target)};
-  }
-  [[nodiscard]] static ResourceRecord opt(OptData data) {
-    return {DomainName(), RecordType::OPT, 0, std::move(data)};
   }
 
   friend bool operator==(const ResourceRecord&, const ResourceRecord&) = default;

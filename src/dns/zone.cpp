@@ -91,75 +91,4 @@ ResolutionResult ZoneDatabase::resolve(const DomainName& query) const {
   return result;
 }
 
-Message ZoneDatabase::serve(const Message& query) const {
-  Message response;
-  response.header = query.header;
-  response.header.qr = true;
-  response.header.aa = true;
-  response.header.ra = false;
-  response.questions = query.questions;
-
-  bool any_name_known = query.questions.empty();
-  for (const auto& question : query.questions) {
-    if (by_name_.contains(question.name)) any_name_known = true;
-
-    // Emit the CNAME chain from the queried name.
-    const auto resolution = resolve(question.name);
-    DomainName owner = question.name;
-    for (const auto& target : resolution.cname_chain) {
-      response.answers.push_back(ResourceRecord::cname(owner, target));
-      owner = target;
-    }
-    if (question.type == RecordType::A) {
-      for (const auto& address : resolution.v4) {
-        response.answers.push_back(ResourceRecord::a(owner, address));
-      }
-    } else if (question.type == RecordType::AAAA) {
-      for (const auto& address : resolution.v6) {
-        response.answers.push_back(ResourceRecord::aaaa(owner, address));
-      }
-    } else {
-      for (const auto& record : records(resolution.response_name, question.type)) {
-        response.answers.push_back(record);
-      }
-    }
-  }
-  if (!any_name_known) {
-    bool referred = false;
-    // Walk up from each queried name: the closest enclosing SOA means we
-    // are authoritative and the name does not exist (NXDOMAIN with the SOA
-    // in the authority section, RFC 2308); closer NS records mean the
-    // question belongs to a delegated child zone — answer with a referral
-    // (NOERROR, NS in authority, glue addresses in additionals).
-    for (const auto& question : query.questions) {
-      DomainName zone = question.name;
-      while (true) {
-        const auto soas = records(zone, RecordType::SOA);
-        if (!soas.empty()) {
-          response.authorities.push_back(soas.front());
-          break;
-        }
-        const auto delegations = records(zone, RecordType::NS);
-        if (!delegations.empty()) {
-          referred = true;
-          for (const auto& ns : delegations) {
-            response.authorities.push_back(ns);
-            const DomainName& server = std::get<DomainName>(ns.data);
-            for (const auto& glue : records(server)) {
-              if (glue.type == RecordType::A || glue.type == RecordType::AAAA) {
-                response.additionals.push_back(glue);
-              }
-            }
-          }
-          break;
-        }
-        if (zone.is_root()) break;
-        zone = zone.parent();
-      }
-    }
-    if (!referred) response.header.rcode = 3;  // NXDOMAIN
-  }
-  return response;
-}
-
 }  // namespace sp::dns

@@ -1,11 +1,9 @@
-// Zone database and resolver.
+// Zone database and CNAME resolution.
 //
-// ZoneDatabase is an authoritative record store playing the role of the
-// Internet's DNS in the synthetic pipeline. Its resolver follows CNAME
-// chains (with loop and depth guards) exactly like step 1 of the paper's
-// methodology: the *response* name at the end of the chain, not the queried
-// name, identifies the service. `serve` answers wire-format queries so the
-// codec and the resolver can be exercised together.
+// ZoneDatabase is a record store filled from zone files (see zonefile.h).
+// `resolve` follows CNAME chains (with loop and depth guards) exactly like
+// step 1 of the paper's methodology: the *response* name at the end of the
+// chain, not the queried name, identifies the service.
 #pragma once
 
 #include <cstddef>
@@ -15,7 +13,6 @@
 #include <vector>
 
 #include "dns/record.h"
-#include "dns/wire.h"
 
 namespace sp::dns {
 
@@ -52,7 +49,6 @@ class ZoneDatabase {
                                                     RecordType type) const;
 
   [[nodiscard]] std::size_t record_count() const noexcept { return record_count_; }
-  [[nodiscard]] std::size_t name_count() const noexcept { return by_name_.size(); }
 
   /// Visits every record, grouped by owner name in sorted name order.
   void visit_records(const std::function<void(const ResourceRecord&)>& visit) const;
@@ -60,12 +56,6 @@ class ZoneDatabase {
   /// Resolves `query` for both A and AAAA, following CNAMEs. Addresses in
   /// the result are sorted and deduplicated.
   [[nodiscard]] ResolutionResult resolve(const DomainName& query) const;
-
-  /// Answers a wire-level query message: echoes the id, sets QR/AA, copies
-  /// the question, and fills the answer section with the CNAME chain plus
-  /// the terminal address records of the requested type. Unknown names get
-  /// rcode NXDOMAIN (3).
-  [[nodiscard]] Message serve(const Message& query) const;
 
  private:
   std::unordered_map<DomainName, std::vector<ResourceRecord>> by_name_;

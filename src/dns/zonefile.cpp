@@ -2,8 +2,6 @@
 
 #include <charconv>
 #include <fstream>
-#include <iterator>
-#include <sstream>
 
 namespace sp::dns {
 
@@ -274,65 +272,26 @@ ZoneParseResult parse_zone_text(std::string_view text, ZoneDatabase& zones,
   return result;
 }
 
-std::string write_zone_text(const ZoneDatabase& zones) {
-  std::ostringstream out;
-  zones.visit_records([&out](const ResourceRecord& record) {
-    out << record.name.to_string() << ". " << record.ttl << " IN "
-        << record_type_name(record.type) << ' ';
-    switch (record.type) {
-      case RecordType::A:
-        out << std::get<IPv4Address>(record.data).to_string();
-        break;
-      case RecordType::AAAA:
-        out << std::get<IPv6Address>(record.data).to_string();
-        break;
-      case RecordType::CNAME:
-      case RecordType::NS:
-      case RecordType::PTR:
-        out << std::get<DomainName>(record.data).to_string() << '.';
-        break;
-      case RecordType::MX: {
-        const auto& mx = std::get<MxData>(record.data);
-        out << mx.preference << ' ' << mx.exchange.to_string() << '.';
-        break;
-      }
-      case RecordType::TXT:
-        out << '"' << std::get<TxtData>(record.data).text << '"';
-        break;
-      case RecordType::SOA: {
-        const auto& soa = std::get<SoaData>(record.data);
-        out << soa.mname.to_string() << ". " << soa.rname.to_string() << ". " << soa.serial
-            << ' ' << soa.refresh << ' ' << soa.retry << ' ' << soa.expire << ' '
-            << soa.minimum;
-        break;
-      }
-      case RecordType::OPT:
-        break;  // EDNS pseudo-records never appear in zone data
-    }
-    out << '\n';
-  });
-  return out.str();
-}
-
 ZoneParseResult parse_zone_file(const std::string& path, ZoneDatabase& zones,
                                 const DomainName& default_origin) {
+  ZoneParseResult result;
   std::ifstream in(path);
   if (!in) {
-    ZoneParseResult result;
     result.error = {0, "cannot open " + path};
     return result;
   }
-  const std::string text((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
+  // istream::read sets badbit where istreambuf_iterator would throw (on a
+  // directory, say), so a read error is reported rather than fatal.
+  std::string text;
+  char block[1 << 16];
+  while (in.read(block, sizeof block) || in.gcount() > 0) {
+    text.append(block, static_cast<std::size_t>(in.gcount()));
+  }
+  if (in.bad()) {
+    result.error = {0, "cannot read " + path};
+    return result;
+  }
   return parse_zone_text(text, zones, default_origin);
-}
-
-bool write_zone_file(const std::string& path, const ZoneDatabase& zones) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return false;
-  out << write_zone_text(zones);
-  out.close();  // the last buffered bytes can fail to land too
-  return static_cast<bool>(out);
 }
 
 }  // namespace sp::dns

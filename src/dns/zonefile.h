@@ -1,4 +1,4 @@
-// RFC 1035 section 5 master-file (zone file) parsing and writing.
+// RFC 1035 section 5 master-file (zone file) parsing.
 //
 // Supports the constructs real zones use: $ORIGIN and $TTL directives,
 // '@' for the origin, relative owner names, owner inheritance from the
@@ -33,13 +33,9 @@ struct ZoneParseResult {
 [[nodiscard]] ZoneParseResult parse_zone_text(std::string_view text, ZoneDatabase& zones,
                                               const DomainName& default_origin = {});
 
-/// Renders every record of `zones` as master-file text (absolute names,
-/// one record per line, sorted by owner name).
-[[nodiscard]] std::string write_zone_text(const ZoneDatabase& zones);
-
-/// File convenience wrappers.
+/// Reads the file at `path` and parses it as above. A file that cannot be
+/// opened or read is an error on line 0.
 [[nodiscard]] ZoneParseResult parse_zone_file(const std::string& path, ZoneDatabase& zones,
                                               const DomainName& default_origin = {});
-[[nodiscard]] bool write_zone_file(const std::string& path, const ZoneDatabase& zones);
 
 }  // namespace sp::dns

@@ -1,7 +1,6 @@
 #include "mrt/file.h"
 
 #include <fstream>
-#include <iterator>
 
 namespace sp::mrt {
 
@@ -21,8 +20,17 @@ std::optional<std::vector<MrtRecord>> read_file(const std::string& path, std::st
     if (error != nullptr) *error = "cannot open " + path;
     return std::nullopt;
   }
-  const std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                                        std::istreambuf_iterator<char>());
+  // istream::read sets badbit where istreambuf_iterator would throw (on a
+  // directory, say), so a read error is reported rather than fatal.
+  std::vector<std::uint8_t> bytes;
+  char block[1 << 16];
+  while (in.read(block, sizeof block) || in.gcount() > 0) {
+    bytes.insert(bytes.end(), block, block + in.gcount());
+  }
+  if (in.bad()) {
+    if (error != nullptr) *error = "cannot read " + path;
+    return std::nullopt;
+  }
   return decode_dump(bytes, error);
 }
 

@@ -24,9 +24,7 @@
 #include "bgp/rib.h"
 #include "dns/name.h"
 #include "dns/record.h"
-#include "dns/resolver.h"
 #include "dns/snapshot.h"
-#include "dns/wire.h"
 #include "dns/zone.h"
 #include "dns/zonefile.h"
 #include "he/happy_eyeballs.h"

@@ -1,12 +1,12 @@
-// Failure-injection tests: the wire decoders (DNS, MRT, CSV, snapshot CSV,
-// sibling list) must never crash, hang, or mis-handle corrupted input —
-// every byte stream either parses cleanly or is rejected with an error.
+// Failure-injection tests: the decoders of outside input (MRT, CSV,
+// snapshot CSV, sibling list) must never crash, hang, or mis-handle
+// corrupted input — every byte stream either parses cleanly or is rejected
+// with an error.
 #include <gtest/gtest.h>
 
 #include <random>
 
 #include "core/sibling_list_io.h"
-#include "dns/wire.h"
 #include "io/csv.h"
 #include "io/snapshot_csv.h"
 #include "mrt/codec.h"
@@ -24,21 +24,6 @@ std::vector<std::uint8_t> random_bytes(std::mt19937& rng, std::size_t max_size) 
 }
 
 class DecoderFuzzProperty : public ::testing::TestWithParam<std::uint32_t> {};
-
-TEST_P(DecoderFuzzProperty, DnsDecoderSurvivesRandomBytes) {
-  std::mt19937 rng(GetParam());
-  for (int i = 0; i < 3000; ++i) {
-    const auto bytes = random_bytes(rng, 256);
-    std::string error;
-    const auto message = dns::decode_message(bytes, &error);
-    if (message) {
-      // Whatever parsed must re-encode without crashing.
-      (void)dns::encode_message(*message);
-    } else {
-      ASSERT_FALSE(error.empty());
-    }
-  }
-}
 
 TEST_P(DecoderFuzzProperty, MrtDecoderSurvivesRandomBytes) {
   std::mt19937 rng(GetParam());
@@ -77,30 +62,7 @@ TEST_P(DecoderFuzzProperty, CsvParserSurvivesRandomText) {
   }
 }
 
-// Bit-flip corruption of structurally valid messages.
-TEST_P(DecoderFuzzProperty, DnsDecoderSurvivesBitFlips) {
-  std::mt19937 rng(GetParam() + 1000);
-  dns::Message message;
-  message.header.id = 7;
-  message.questions.push_back(
-      {dns::DomainName::must_parse("www.example.org"), dns::RecordType::A});
-  message.answers.push_back(dns::ResourceRecord::cname(
-      dns::DomainName::must_parse("www.example.org"),
-      dns::DomainName::must_parse("edge.cdn.example")));
-  message.answers.push_back(dns::ResourceRecord::a(
-      dns::DomainName::must_parse("edge.cdn.example"), IPv4Address::from_octets(5, 6, 7, 8)));
-  const auto wire = dns::encode_message(message);
-
-  std::uniform_int_distribution<std::size_t> position(0, wire.size() - 1);
-  std::uniform_int_distribution<int> bit(0, 7);
-  for (int i = 0; i < 4000; ++i) {
-    auto corrupted = wire;
-    corrupted[position(rng)] ^= static_cast<std::uint8_t>(1 << bit(rng));
-    const auto decoded = dns::decode_message(corrupted);  // must not crash
-    if (decoded) (void)dns::encode_message(*decoded);
-  }
-}
-
+// Bit-flip corruption of a structurally valid dump.
 TEST_P(DecoderFuzzProperty, MrtDecoderSurvivesBitFlips) {
   std::mt19937 rng(GetParam() + 2000);
   mrt::RibRecord rib;

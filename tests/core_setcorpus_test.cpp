@@ -1,5 +1,6 @@
-// Tests for the generic SetCorpus detection input (paper section 3.7) and
-// its equivalence with the DNS corpus on identical data.
+// Tests for the generic SetCorpus detection input (paper section 3.7), its
+// equivalence with the DNS corpus on identical data, and reverse-DNS
+// hostnames as its elements.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -187,3 +188,46 @@ TEST(SetCorpus, MetricsApply) {
 
 }  // namespace
 }  // namespace sp::core
+
+namespace sp::dns {
+namespace {
+
+// rDNS as a detection input: dual-stack hosts share one PTR hostname; the
+// interned hostname ids feed a SetCorpus exactly like domains would.
+TEST(ReverseName, RdnsSetCorpusDetection) {
+  // Two orgs; each host has matching v4/v6 PTR names.
+  struct Host {
+    const char* v4;
+    const char* v6;
+    const char* hostname;
+  };
+  const Host hosts[] = {
+      {"20.1.0.1", "2620:100::1", "web1.alpha.example"},
+      {"20.1.0.2", "2620:100::2", "web2.alpha.example"},
+      {"20.2.0.1", "2620:200::1", "mail.beta.example"},
+  };
+  const auto prefix_of = [](const char* address) {
+    const IPAddress ip = IPAddress::must_parse(address);
+    return Prefix::of(ip, ip.is_v4() ? 24u : 48u);
+  };
+
+  core::DomainInterner interner;
+  core::SetCorpus corpus;
+  for (const auto& host : hosts) {
+    const core::DomainId id = interner.intern(DomainName::must_parse(host.hostname));
+    corpus.add(prefix_of(host.v4), id);
+    corpus.add(prefix_of(host.v6), id);
+  }
+  corpus.finalize();
+
+  const auto pairs = core::detect_sibling_prefixes(corpus);
+  ASSERT_EQ(pairs.size(), 2u);
+  EXPECT_EQ(pairs[0].v4, Prefix::must_parse("20.1.0.0/24"));
+  EXPECT_EQ(pairs[0].v6, Prefix::must_parse("2620:100::/48"));
+  EXPECT_DOUBLE_EQ(pairs[0].similarity, 1.0);
+  EXPECT_EQ(pairs[0].shared_domains, 2u);
+  EXPECT_DOUBLE_EQ(pairs[1].similarity, 1.0);
+}
+
+}  // namespace
+}  // namespace sp::dns

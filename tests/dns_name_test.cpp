@@ -22,7 +22,6 @@ TEST(DomainName, RootName) {
   ASSERT_TRUE(root.has_value());
   EXPECT_TRUE(root->is_root());
   EXPECT_EQ(root->to_string(), ".");
-  EXPECT_EQ(root->label_count(), 0u);
 }
 
 TEST(DomainName, RejectsMalformedNames) {
@@ -44,37 +43,6 @@ TEST(DomainName, AcceptsEdgeCases) {
   EXPECT_TRUE(DomainName::from_string("123.example").has_value());
   const std::string label63(63, 'a');
   EXPECT_TRUE(DomainName::from_string(label63 + ".org").has_value());
-}
-
-TEST(DomainName, Labels) {
-  const auto name = DomainName::must_parse("www.example.org");
-  const auto labels = name.labels();
-  ASSERT_EQ(labels.size(), 3u);
-  EXPECT_EQ(labels[0], "www");
-  EXPECT_EQ(labels[1], "example");
-  EXPECT_EQ(labels[2], "org");
-  EXPECT_EQ(name.label_count(), 3u);
-  EXPECT_EQ(name.tld(), "org");
-}
-
-TEST(DomainName, ParentWalk) {
-  auto name = DomainName::must_parse("a.b.example.org");
-  name = name.parent();
-  EXPECT_EQ(name.text(), "b.example.org");
-  name = name.parent().parent();
-  EXPECT_EQ(name.text(), "org");
-  EXPECT_TRUE(name.parent().is_root());
-}
-
-TEST(DomainName, SubdomainRelation) {
-  const auto org = DomainName::must_parse("example.org");
-  const auto www = DomainName::must_parse("www.example.org");
-  EXPECT_TRUE(www.is_subdomain_of(org));
-  EXPECT_TRUE(org.is_subdomain_of(org));
-  EXPECT_FALSE(org.is_subdomain_of(www));
-  // Suffix match must respect label boundaries.
-  EXPECT_FALSE(DomainName::must_parse("notexample.org").is_subdomain_of(org));
-  EXPECT_TRUE(www.is_subdomain_of(DomainName()));  // everything is under root
 }
 
 TEST(DomainName, CaseInsensitiveEqualityAndHash) {

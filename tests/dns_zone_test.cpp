@@ -1,5 +1,4 @@
-// Tests for the zone database, CNAME chasing, wire-level serving, and
-// resolution snapshots.
+// Tests for the zone database, CNAME chasing, and resolution snapshots.
 #include "dns/snapshot.h"
 #include "dns/zone.h"
 
@@ -87,37 +86,6 @@ TEST(ZoneDatabase, BoundsCnameChainDepth) {
   }
   const auto result = zones.resolve(n("h0.example"));
   EXPECT_TRUE(result.chain_too_long);
-}
-
-TEST(ZoneDatabase, ServeAnswersWithCnameChainAndAddresses) {
-  Message query;
-  query.header.id = 77;
-  query.questions.push_back({n("www.example.org"), RecordType::A});
-
-  const auto response = example_zones().serve(query);
-  EXPECT_TRUE(response.header.qr);
-  EXPECT_TRUE(response.header.aa);
-  EXPECT_EQ(response.header.id, 77);
-  EXPECT_EQ(response.header.rcode, 0);
-  // 2 CNAMEs + 2 A records.
-  ASSERT_EQ(response.answers.size(), 4u);
-  EXPECT_EQ(response.answers[0].type, RecordType::CNAME);
-  EXPECT_EQ(response.answers[1].type, RecordType::CNAME);
-  EXPECT_EQ(response.answers[2].type, RecordType::A);
-  EXPECT_EQ(response.answers[2].name, n("pop3.cdn.net"));
-
-  // The response survives a wire round-trip.
-  const auto decoded = decode_message(encode_message(response));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, response);
-}
-
-TEST(ZoneDatabase, ServeUnknownNameSetsNxdomain) {
-  Message query;
-  query.questions.push_back({n("nope.example.org"), RecordType::A});
-  const auto response = example_zones().serve(query);
-  EXPECT_EQ(response.header.rcode, 3);
-  EXPECT_TRUE(response.answers.empty());
 }
 
 TEST(ResolutionSnapshot, ResolveAllKeepsAddressedDomains) {

@@ -1,10 +1,10 @@
-// Tests for the RFC 1035 master-file parser and writer.
+// Tests for the RFC 1035 master-file parser.
 #include "dns/zonefile.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
+#include <fstream>
 
 namespace sp::dns {
 namespace {
@@ -24,6 +24,7 @@ blog     IN CNAME www
 mail     IN MX  10 mx1.example.org. ; absolute exchange
 txt      IN TXT "v=spf1 ip4:20.1.1.0/24 -all"
 abs.example.net. IN A 20.9.9.9     ; absolute owner outside the origin
+10.1.1.20.in-addr.arpa. IN PTR www ; reverse name of www's address
 $ORIGIN sub.example.org.
 deep     IN A   20.1.2.1
 )zone";
@@ -32,7 +33,7 @@ TEST(ZoneFile, ParsesRealisticZone) {
   ZoneDatabase zones;
   const auto result = parse_zone_text(kExampleZone, zones);
   ASSERT_TRUE(result.ok()) << result.error->line << ": " << result.error->message;
-  EXPECT_EQ(result.records_added, 10u);
+  EXPECT_EQ(result.records_added, 11u);
 
   // SOA with parenthesized continuation.
   const auto soas = zones.records(n("example.org"), RecordType::SOA);
@@ -66,6 +67,9 @@ TEST(ZoneFile, ParsesRealisticZone) {
 
   // Absolute owner and re-origined record.
   EXPECT_EQ(zones.records(n("abs.example.net"), RecordType::A).size(), 1u);
+  const auto ptrs = zones.records(n("10.1.1.20.in-addr.arpa"), RecordType::PTR);
+  ASSERT_EQ(ptrs.size(), 1u);
+  EXPECT_EQ(std::get<DomainName>(ptrs[0].data), n("www.example.org"));  // relative target
   EXPECT_EQ(zones.records(n("deep.sub.example.org"), RecordType::A).size(), 1u);
 }
 
@@ -107,41 +111,23 @@ TEST(ZoneFile, KeepsRecordsBeforeTheError) {
   EXPECT_EQ(zones.records(n("a.example"), RecordType::A).size(), 1u);
 }
 
-TEST(ZoneFile, WriteThenParseRoundTrips) {
-  ZoneDatabase zones;
-  ASSERT_TRUE(parse_zone_text(kExampleZone, zones).ok());
-  const std::string text = write_zone_text(zones);
-
-  ZoneDatabase reparsed;
-  const auto result = parse_zone_text(text, reparsed);
-  ASSERT_TRUE(result.ok()) << result.error->message;
-  EXPECT_EQ(reparsed.record_count(), zones.record_count());
-  // Semantic spot checks survive the round trip.
-  EXPECT_EQ(reparsed.records(n("www.example.org"), RecordType::A),
-            zones.records(n("www.example.org"), RecordType::A));
-  EXPECT_EQ(reparsed.records(n("example.org"), RecordType::SOA),
-            zones.records(n("example.org"), RecordType::SOA));
-}
-
 TEST(ZoneFile, FileRoundTrip) {
   const std::string path = ::testing::TempDir() + "/sp_zone_test.zone";
   ZoneDatabase zones;
   ASSERT_TRUE(parse_zone_text(kExampleZone, zones).ok());
-  ASSERT_TRUE(write_zone_file(path, zones));
+  {
+    std::ofstream out(path);
+    out << kExampleZone;
+    ASSERT_TRUE(out.good());
+  }
 
   ZoneDatabase loaded;
   const auto result = parse_zone_file(path, loaded);
   ASSERT_TRUE(result.ok()) << result.error->message;
   EXPECT_EQ(loaded.record_count(), zones.record_count());
   EXPECT_FALSE(parse_zone_file("/nonexistent/zone", loaded).ok());
+  EXPECT_FALSE(parse_zone_file(::testing::TempDir(), loaded).ok());  // a directory
   std::remove(path.c_str());
-}
-
-TEST(ZoneFile, WriteToFullDeviceFails) {
-  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
-  ZoneDatabase zones;
-  ASSERT_TRUE(parse_zone_text(kExampleZone, zones).ok());
-  EXPECT_FALSE(write_zone_file("/dev/full", zones));
 }
 
 TEST(ZoneFile, DefaultOriginAppliesToRelativeNames) {

@@ -3,45 +3,12 @@
 
 #include "core/sibling_sets.h"
 #include "core/sptuner.h"
-#include "dns/zone.h"
 #include "test_fixtures.h"
 
 namespace sp {
 namespace {
 
 using testsupport::ScenarioBuilder;
-
-TEST(ZoneEdge, MultiQuestionQueryAnswersEach) {
-  dns::ZoneDatabase zones;
-  zones.add(dns::ResourceRecord::a(dns::DomainName::must_parse("a.example.org"),
-                                   *IPv4Address::from_string("20.1.1.1")));
-  zones.add(dns::ResourceRecord::aaaa(dns::DomainName::must_parse("b.example.org"),
-                                      *IPv6Address::from_string("2620:100::1")));
-  dns::Message query;
-  query.questions.push_back(
-      {dns::DomainName::must_parse("a.example.org"), dns::RecordType::A});
-  query.questions.push_back(
-      {dns::DomainName::must_parse("b.example.org"), dns::RecordType::AAAA});
-  const auto response = zones.serve(query);
-  EXPECT_EQ(response.header.rcode, 0);
-  ASSERT_EQ(response.answers.size(), 2u);
-  EXPECT_EQ(response.answers[0].type, dns::RecordType::A);
-  EXPECT_EQ(response.answers[1].type, dns::RecordType::AAAA);
-}
-
-TEST(ZoneEdge, MixedKnownAndUnknownQuestionsAreNotNxdomain) {
-  dns::ZoneDatabase zones;
-  zones.add(dns::ResourceRecord::a(dns::DomainName::must_parse("a.example.org"),
-                                   *IPv4Address::from_string("20.1.1.1")));
-  dns::Message query;
-  query.questions.push_back(
-      {dns::DomainName::must_parse("a.example.org"), dns::RecordType::A});
-  query.questions.push_back(
-      {dns::DomainName::must_parse("missing.example.org"), dns::RecordType::A});
-  const auto response = zones.serve(query);
-  EXPECT_EQ(response.header.rcode, 0);  // some data was found
-  EXPECT_EQ(response.answers.size(), 1u);
-}
 
 TEST(SiblingSetsEdge, SharedV6PrefixJoinsComponents) {
   // Two v4 prefixes, each best-matching the same v6 prefix, must form one

@@ -192,6 +192,9 @@ TEST(MrtFile, MissingFileReportsError) {
   std::string error;
   EXPECT_FALSE(read_file("/nonexistent/sp.mrt", &error).has_value());
   EXPECT_FALSE(error.empty());
+  error.clear();
+  EXPECT_FALSE(read_file(::testing::TempDir(), &error).has_value());  // a directory
+  EXPECT_FALSE(error.empty());
 }
 
 // Property: randomized RIB dumps round-trip exactly.
