@@ -1,7 +1,7 @@
 // Generates the checked-in seed corpora under fuzz/corpus/<target>/.
 // Seeds come from the project's own writers (format_csv_row,
-// encode_dump, RunManifest::to_json, write_sibdb, write_snapshot_csv)
-// plus a few handwritten
+// encode_dump, RunManifest::to_json, write_sibdb, write_snapshot_csv, a
+// synthetic month rendered as a zone) plus a few handwritten
 // edge cases, so every corpus starts on the accept path and mutation
 // explores the reject boundary from valid inputs outward. Deterministic:
 // re-running over an existing corpus rewrites identical bytes.
@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -71,13 +72,11 @@ std::string csv_document() {
 
 bool make_csv_seeds(const fs::path& root) {
   const std::string document = csv_document();
-  for (const char* target : {"parse_csv", "csv_stream"}) {
-    if (!write_seed(root / target, "list.csv", document)) return false;
-    if (!write_seed(root / target, "empty_field.csv", std::string("a,,c\n"))) return false;
-    if (!write_seed(root / target, "crlf.csv", std::string("a,b\r\nc,d\r\n"))) return false;
-    if (!write_seed(root / target, "unbalanced.csv", std::string("a,\"open\n"))) return false;
-  }
-  return true;
+  const fs::path dir = root / "parse_csv";
+  return write_seed(dir, "list.csv", document) &&
+         write_seed(dir, "empty_field.csv", std::string("a,,c\n")) &&
+         write_seed(dir, "crlf.csv", std::string("a,b\r\nc,d\r\n")) &&
+         write_seed(dir, "unbalanced.csv", std::string("a,\"open\n"));
 }
 
 bool make_snapshot_csv_seeds(const fs::path& root) {
@@ -117,6 +116,67 @@ bool make_snapshot_csv_seeds(const fs::path& root) {
 
   // Cut off mid-row.
   return write_seed(root / "snapshot_csv", "truncated.csv", text.substr(0, text.size() / 2 + 7));
+}
+
+bool make_zone_seeds(const fs::path& root) {
+  const fs::path dir = root / "zone_file";
+  // Every construct the parser reads: directives, '@', relative and
+  // inherited owners, comments, a parenthesized SOA, quoted TXT, and each
+  // record type.
+  const std::string example =
+      "$ORIGIN example.org.\n"
+      "$TTL 300\n"
+      "@   IN SOA ns1 hostmaster ( 2024091101 7200 900\n"
+      "                            1209600 300 ) ; split across lines\n"
+      "@        IN NS  ns1\n"
+      "ns1      IN A   20.1.1.53\n"
+      "www 60   IN A   20.1.1.10\n"
+      "    60   IN AAAA 2620:100::10\n"
+      "blog     IN CNAME www\n"
+      "mail     IN MX  10 mx1.example.org.\n"
+      "txt      IN TXT \"v=spf1 ip4:20.1.1.0/24 -all\"\n"
+      "abs.example.net. IN A 20.9.9.9\n"
+      "10.1.1.20.in-addr.arpa. IN PTR www\n"
+      "$ORIGIN sub.example.org.\n"
+      "deep     IN A   20.1.2.1\n";
+  if (!write_seed(dir, "example.zone", example)) return false;
+
+  // A CNAME loop and a chain longer than the resolver's depth guard.
+  std::string chains = "a.loop. CNAME b.loop.\nb.loop. CNAME a.loop.\n";
+  for (int i = 0; i < 10; ++i) {
+    chains += "c" + std::to_string(i) + ".chain. CNAME c" + std::to_string(i + 1) + ".chain.\n";
+  }
+  chains += "c10.chain. A 192.0.2.1\nc10.chain. AAAA 2001:db8::1\n";
+  if (!write_seed(dir, "chains.zone", chains)) return false;
+
+  // One month of a small synthetic universe as a zone, the way
+  // scripts/zone_vs_csv.sh renders a snapshot: each response name's
+  // addresses once, plus `queried CNAME response` where the names differ.
+  sp::synth::SynthConfig config;
+  config.organization_count = 12;
+  config.hg_prefix_scale = 0.005;
+  config.months = 1;
+  const sp::synth::SyntheticInternet internet(config);
+  const sp::dns::ResolutionSnapshot snapshot = internet.snapshot_at(0);
+  std::string month;
+  std::set<std::string> seen;
+  for (const auto& entry : snapshot.entries()) {
+    const std::string response = entry.response_name.to_string();
+    if (seen.insert(response).second) {
+      for (const auto& address : entry.v4) month += response + ". A " + address.to_string() + "\n";
+      for (const auto& address : entry.v6) {
+        month += response + ". AAAA " + address.to_string() + "\n";
+      }
+    }
+    if (entry.queried != entry.response_name) {
+      month += entry.queried.to_string() + ". CNAME " + response + ".\n";
+    }
+  }
+  if (!write_seed(dir, "month.zone", month)) return false;
+
+  // The reject boundary: an unterminated quote and an unclosed paren.
+  return write_seed(dir, "unterminated.zone",
+                    std::string("x.example. TXT \"open\ny.example. SOA ns h ( 1 2 3\n"));
 }
 
 bool make_mrt_seeds(const fs::path& root) {
@@ -316,9 +376,9 @@ int main(int argc, char** argv) {
     return 2;
   }
   const fs::path root = argv[1];
-  if (!make_csv_seeds(root) || !make_snapshot_csv_seeds(root) || !make_mrt_seeds(root) ||
-      !make_manifest_seeds(root) || !make_sibdb_seeds(root) || !make_net_frame_seeds(root) ||
-      !make_stream_delta_seeds(root)) {
+  if (!make_csv_seeds(root) || !make_snapshot_csv_seeds(root) || !make_zone_seeds(root) ||
+      !make_mrt_seeds(root) || !make_manifest_seeds(root) || !make_sibdb_seeds(root) ||
+      !make_net_frame_seeds(root) || !make_stream_delta_seeds(root)) {
     return 1;
   }
   std::printf("seed corpora written under %s\n", root.c_str());

@@ -2,8 +2,9 @@
 # Tier-1 verification: full build + test suite, then a ThreadSanitizer
 # pass over the threaded engines (parallel detection, SP-Tuner, delta
 # hot-reload, obs metrics/tracing), an ASan/UBSan pass over the
-# parser-heavy I/O (CSV fuzz round-trip, Happy Eyeballs, manifest
-# UTF-8, zone files, MRT dumps) and the flat corpus build, a loopback
+# parser-heavy I/O (the CSV cursor against its reference, snapshots and
+# sibling lists, Happy Eyeballs, manifest UTF-8, zone files, MRT dumps)
+# and the flat corpus build, a loopback
 # end-to-end smoke of the sp_serve TCP front-end, a chaos soak smoke
 # (seeded fault injection against the serve path — plain with RSS/p99
 # bounds, under ASan, and in external mode against a real sp_serve —
@@ -50,12 +51,13 @@ cmake --build build-tsan -j "$JOBS" --target core_detect_parallel_test \
   -R 'DetectParallel|Parallel|Serve|PipelineStageGraph|PipelineResume\.SerialAndDag|PipelineSignal|WorkerPool|Obs|NetServer|NetProtocol|Stream|Chaos')
 
 # Stage 3: memory-safety pass over the byte-level parsers and the flat
-# corpus under AddressSanitizer + UBSan. The CSV suite includes a seeded
-# fuzz-style round-trip property test (adversarial quote/CR/LF/comma
-# fields), so this stage doubles as a bounded fuzz run on both CSV
-# parsers; the snapshot-CSV suite drives the byte cursor's index
-# arithmetic over file bytes (quoted fields, CRLF, bare CR, blank lines,
-# cut-off files) against the document-building reference reader, and the
+# corpus under AddressSanitizer + UBSan. The CSV suite checks the one CSV
+# tokenizer, io::CsvCursor, against the state-machine reference on seeded
+# random documents (quoted commas, CRs, LFs and "" escapes, bare CRs,
+# blank lines, open quotes), rows and row lines both; the snapshot-CSV
+# and sibling-list suites drive the cursor's index arithmetic over file
+# bytes (quoted fields, CRLF, bare CR, blank lines, cut-off and malformed
+# files) against the readers they replaced, and the
 # address suite drives the one-pass IPv6 parser's group array over 4M
 # random and structured strings against the tokenizing reference. The
 # corpus, reference-corpus, SetCorpus and SP-Tuner suites drive the
@@ -71,13 +73,14 @@ cmake --build build-tsan -j "$JOBS" --target core_detect_parallel_test \
 # and the MRT and decoder-robustness suites drive the TABLE_DUMP_V2 and
 # BGP4MP decoders over golden, truncated, bit-flipped and random dumps.
 cmake -B build-asan -S . -DSP_SANITIZE=address,undefined
-cmake --build build-asan -j "$JOBS" --target io_csv_test io_snapshot_csv_test netbase_ip_test \
+cmake --build build-asan -j "$JOBS" --target io_csv_test io_snapshot_csv_test \
+  core_sibling_list_io_test netbase_ip_test \
   he_happy_eyeballs_test pipeline_manifest_test \
   core_corpus_detect_test core_corpus_reference_test core_setcorpus_test core_sptuner_test \
   core_sptuner_reference_test dns_zonefile_test dns_name_test mrt_codec_test \
   mrt_bgp4mp_test codec_robustness_test
 (cd build-asan && ctest --output-on-failure -j "$JOBS" \
-  -R 'Csv|IPv4|IPv6|IPAddress|HappyEyeballs|PipelineManifest|DualStackCorpus|DetectSiblings|SetCorpus|SpTuner|CorpusReference|ZoneFile|DomainName|Mrt|Bgp4mp|Rib|DecoderFuzzProperty|FileFormatRobustness')
+  -R 'Csv|SiblingList|IPv4|IPv6|IPAddress|HappyEyeballs|PipelineManifest|DualStackCorpus|DetectSiblings|SetCorpus|SpTuner|CorpusReference|ZoneFile|DomainName|Mrt|Bgp4mp|Rib|DecoderFuzzProperty|FileFormatRobustness')
 
 # Stage 4: loopback end-to-end smoke of the TCP front-end — the real
 # binaries, a real socket. Convert a tiny fixture, start sp_serve

@@ -1,7 +1,10 @@
 #include "core/sibling_list_io.h"
 
+#include <algorithm>
+#include <array>
 #include <charconv>
-#include <fstream>
+#include <cstdio>
+#include <string_view>
 
 #include "io/csv.h"
 
@@ -9,23 +12,13 @@ namespace sp::core {
 
 namespace {
 
-const io::CsvRow kHeader = {"v4_prefix", "v6_prefix",  "similarity",
-                            "shared_domains", "v4_domains", "v6_domains"};
+constexpr std::array<std::string_view, 6> kHeader = {
+    "v4_prefix", "v6_prefix", "similarity", "shared_domains", "v4_domains", "v6_domains"};
 
 template <typename T>
-bool parse_number(const std::string& text, T& out) {
+bool parse_number(std::string_view text, T& out) {
   const auto result = std::from_chars(text.data(), text.data() + text.size(), out);
   return result.ec == std::errc{} && result.ptr == text.data() + text.size();
-}
-
-bool parse_double(const std::string& text, double& out) {
-  try {
-    std::size_t used = 0;
-    out = std::stod(text, &used);
-    return used == text.size();
-  } catch (const std::exception&) {
-    return false;
-  }
 }
 
 }  // namespace
@@ -33,7 +26,7 @@ bool parse_double(const std::string& text, double& out) {
 bool write_sibling_list(const std::string& path, std::span<const SiblingPair> pairs) {
   std::vector<io::CsvRow> rows;
   rows.reserve(pairs.size() + 1);
-  rows.push_back(kHeader);
+  rows.emplace_back(kHeader.begin(), kHeader.end());
   for (const SiblingPair& pair : pairs) {
     char similarity[32];
     std::snprintf(similarity, sizeof similarity, "%.9f", pair.similarity);
@@ -47,7 +40,7 @@ bool write_sibling_list(const std::string& path, std::span<const SiblingPair> pa
 namespace {
 
 /// Parses one data row; on failure returns the reason.
-const char* parse_row(const io::CsvRow& row, SiblingPair& pair) {
+const char* parse_row(std::span<const std::string_view> row, SiblingPair& pair) {
   if (row.size() != kHeader.size()) return "wrong column count";
   const auto v4 = Prefix::from_string(row[0]);
   if (!v4 || v4->family() != Family::v4) return "bad v4_prefix";
@@ -55,7 +48,11 @@ const char* parse_row(const io::CsvRow& row, SiblingPair& pair) {
   if (!v6 || v6->family() != Family::v6) return "bad v6_prefix";
   pair.v4 = *v4;
   pair.v6 = *v6;
-  if (!parse_double(row[2], pair.similarity)) return "bad similarity";
+  // A similarity is a Jaccard, Dice or overlap score: finite, in [0, 1].
+  if (!parse_number(row[2], pair.similarity) || !(pair.similarity >= 0.0) ||
+      pair.similarity > 1.0) {
+    return "bad similarity";
+  }
   if (!parse_number(row[3], pair.shared_domains)) return "bad shared_domains";
   if (!parse_number(row[4], pair.v4_domain_count)) return "bad v4_domains";
   if (!parse_number(row[5], pair.v6_domain_count)) return "bad v6_domains";
@@ -71,32 +68,23 @@ std::optional<std::vector<SiblingPair>> read_sibling_list(const std::string& pat
     return std::nullopt;
   };
 
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return fail(0, "cannot open file");
+  const auto text = io::read_file_text(path);
+  if (!text) return fail(0, "cannot read file");
 
+  using Next = io::CsvCursor::Next;
+  io::CsvCursor rows(*text);
   std::vector<SiblingPair> pairs;
-  bool saw_header = false;
-  SiblingListError row_error;
-  const auto status = io::read_csv_stream(in, [&](io::CsvRow&& row, std::size_t line) {
-    if (!saw_header) {
-      if (row != kHeader) {
-        row_error = {line, "malformed header"};
-        return false;
-      }
-      saw_header = true;
-      return true;
+  Next next = rows.next();
+  if (next == Next::end) return fail(0, "empty file");
+  if (next == Next::row) {
+    if (!std::ranges::equal(rows.fields(), kHeader)) return fail(rows.line(), "malformed header");
+    while ((next = rows.next()) == Next::row) {
+      SiblingPair pair;
+      if (const char* reason = parse_row(rows.fields(), pair)) return fail(rows.line(), reason);
+      pairs.push_back(pair);
     }
-    SiblingPair pair;
-    if (const char* reason = parse_row(row, pair)) {
-      row_error = {line, reason};
-      return false;
-    }
-    pairs.push_back(pair);
-    return true;
-  });
-  if (!row_error.message.empty()) return fail(row_error.line, std::move(row_error.message));
-  if (!status.ok) return fail(status.error_line, "unbalanced quote");
-  if (!saw_header) return fail(0, "empty file");
+  }
+  if (next == Next::bad) return fail(rows.line(), "unbalanced quote");
   return pairs;
 }
 

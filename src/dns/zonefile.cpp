@@ -32,7 +32,7 @@ std::optional<std::vector<LogicalLine>> tokenize(std::string_view text,
 
   std::string token_text;
   bool in_token = false;
-  bool in_quotes = false;
+  bool in_string = false;
   bool token_was_quoted = false;
 
   const auto flush_token = [&] {
@@ -52,9 +52,9 @@ std::optional<std::vector<LogicalLine>> tokenize(std::string_view text,
 
   for (std::size_t i = 0; i <= text.size(); ++i) {
     const char c = i < text.size() ? text[i] : '\n';
-    if (in_quotes) {
+    if (in_string) {
       if (c == '"') {
-        in_quotes = false;
+        in_string = false;
       } else if (c == '\n') {
         error = {line_number, "unterminated quoted string"};
         return std::nullopt;
@@ -65,7 +65,7 @@ std::optional<std::vector<LogicalLine>> tokenize(std::string_view text,
     }
     switch (c) {
       case '"':
-        in_quotes = true;
+        in_string = true;
         in_token = true;
         token_was_quoted = true;
         break;

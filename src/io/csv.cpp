@@ -1,6 +1,7 @@
 #include "io/csv.h"
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <system_error>
@@ -13,17 +14,79 @@ bool needs_quoting(std::string_view field) {
   return field.find_first_of(",\"\r\n") != std::string_view::npos;
 }
 
-/// The end of the run of bytes from `i` that the unquoted state copies as
-/// they are: everything but a quote, a comma and a line break.
-std::size_t ordinary_run_end(std::string_view text, std::size_t i) {
-  while (i < text.size() && text[i] != '"' && text[i] != ',' && text[i] != '\r' &&
-         text[i] != '\n') {
-    ++i;
+}  // namespace
+
+CsvCursor::Next CsvCursor::next() {
+  // Blank lines: an LF, a CRLF or a bare CR each end one line.
+  while (pos_ < text_.size() && (text_[pos_] == '\n' || text_[pos_] == '\r')) {
+    const bool crlf = text_[pos_] == '\r' && pos_ + 1 < text_.size() && text_[pos_ + 1] == '\n';
+    pos_ += crlf ? 2 : 1;
+    ++line_;
   }
-  return i;
+  row_line_ = line_;
+  if (pos_ == text_.size()) return Next::end;
+  fields_.clear();
+  while (true) {
+    if (!read_field()) return Next::bad;
+    if (pos_ == text_.size()) return Next::row;
+    const char stop = text_[pos_++];
+    if (stop == ',') continue;
+    if (stop == '\r' && pos_ < text_.size() && text_[pos_] == '\n') ++pos_;
+    ++line_;
+    return Next::row;
+  }
 }
 
-}  // namespace
+/// The position of the next `c` at or after pos_, or the end. Each of the
+/// three stop bytes keeps its next position, found by memchr and searched
+/// for again only once the cursor has passed it, so the text is scanned
+/// once per stop byte however its rows end.
+std::size_t CsvCursor::next_of(std::size_t& cached, char c) {
+  if (cached == kUnsearched || cached < pos_) {
+    const void* hit = std::memchr(text_.data() + pos_, c, text_.size() - pos_);
+    cached = hit == nullptr
+                 ? text_.size()
+                 : static_cast<std::size_t>(static_cast<const char*>(hit) - text_.data());
+  }
+  return cached;
+}
+
+/// The first comma, CR or LF at or after pos_, or the end.
+std::size_t CsvCursor::field_end() {
+  return std::min({next_of(comma_, ','), next_of(cr_, '\r'), next_of(lf_, '\n')});
+}
+
+/// Reads one field from pos_ up to its comma or line break (left
+/// unconsumed); false, with pos_ left at the opening quote, when its
+/// quote never closes.
+bool CsvCursor::read_field() {
+  const std::size_t start = pos_;
+  if (start == text_.size() || text_[start] != '"') {
+    pos_ = field_end();
+    fields_.push_back(text_.substr(start, pos_ - start));
+    return true;
+  }
+  if (unescaped_.size() <= fields_.size()) unescaped_.resize(fields_.size() + 1);
+  std::string& content = unescaped_[fields_.size()];
+  content.clear();
+  std::size_t at = start + 1;
+  while (true) {
+    const std::size_t quote = text_.find('"', at);
+    if (quote == std::string_view::npos) return false;
+    content.append(text_, at, quote - at);
+    at = quote + 1;
+    if (at == text_.size() || text_[at] != '"') break;
+    content.push_back('"');  // "" inside quotes
+    ++at;
+  }
+  line_ += static_cast<std::size_t>(std::count(text_.data() + start, text_.data() + at, '\n'));
+  pos_ = at;
+  const std::size_t end = field_end();  // bytes after the closing quote
+  content.append(text_, pos_, end - pos_);
+  pos_ = end;
+  fields_.push_back(content);
+  return true;
+}
 
 std::string format_csv_row(const CsvRow& row) {
   // A row holding exactly one empty field would otherwise render as an
@@ -48,78 +111,18 @@ std::string format_csv_row(const CsvRow& row) {
 
 std::optional<std::vector<CsvRow>> parse_csv(std::string_view text) {
   std::vector<CsvRow> rows;
-  CsvRow row;
-  std::string field;
-  bool in_quotes = false;
-  bool field_started = false;
-
-  const auto end_field = [&] {
-    row.push_back(std::move(field));
-    field.clear();
-    field_started = false;
-  };
-  const auto end_row = [&] {
-    if (!row.empty() || field_started || !field.empty()) {
-      end_field();
-      rows.push_back(std::move(row));
-      row.clear();
-    }
-  };
-
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    const char c = text[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < text.size() && text[i + 1] == '"') {
-          field.push_back('"');
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        // Everything up to the next quote is field content.
-        const std::size_t end = std::min(text.find('"', i), text.size());
-        field.append(text.substr(i, end - i));
-        i = end - 1;
-      }
-      continue;
-    }
-    switch (c) {
-      case '"':
-        // RFC 4180: a quote only opens a quoted field at the start of the
-        // field; after field content (`ab"cd`) it is a literal character.
-        if (field.empty()) {
-          in_quotes = true;
-        } else {
-          field.push_back('"');
-        }
-        field_started = true;
+  CsvCursor cursor(text);
+  while (true) {
+    switch (cursor.next()) {
+      case CsvCursor::Next::row:
+        rows.emplace_back(cursor.fields().begin(), cursor.fields().end());
         break;
-      case ',':
-        end_field();
-        field_started = true;  // next field exists even if empty
-        break;
-      case '\r':
-        // Row terminator: CRLF (consume the LF too) or bare CR
-        // (classic-Mac line ending). Quoted CRs never reach here.
-        end_row();
-        if (i + 1 < text.size() && text[i + 1] == '\n') ++i;
-        break;
-      case '\n':
-        end_row();
-        break;
-      default: {
-        const std::size_t end = ordinary_run_end(text, i);
-        field.append(text.substr(i, end - i));
-        i = end - 1;
-        field_started = true;
-        break;
-      }
+      case CsvCursor::Next::end:
+        return rows;
+      case CsvCursor::Next::bad:
+        return std::nullopt;
     }
   }
-  if (in_quotes) return std::nullopt;
-  end_row();
-  return rows;
 }
 
 bool write_csv_file(const std::string& path, const std::vector<CsvRow>& rows) {
@@ -144,6 +147,7 @@ std::optional<std::string> read_file_text(const std::string& path) {
   while (in.read(block, sizeof block) || in.gcount() > 0) {
     text.append(block, static_cast<std::size_t>(in.gcount()));
   }
+  if (in.bad()) return std::nullopt;
   return text;
 }
 
@@ -151,104 +155,6 @@ std::optional<std::vector<CsvRow>> read_csv_file(const std::string& path) {
   const auto text = read_file_text(path);
   if (!text) return std::nullopt;
   return parse_csv(*text);
-}
-
-CsvStreamStatus read_csv_stream(std::istream& in,
-                                const std::function<bool(CsvRow&&, std::size_t)>& on_row) {
-  CsvRow row;
-  std::string field;
-  bool in_quotes = false;
-  bool quote_pending = false;  // saw '"' inside quotes; '""' escapes, else closes
-  bool pending_cr = false;     // unquoted '\r' ended a row; swallow a following '\n'
-  bool field_started = false;
-  bool stopped = false;
-  std::size_t line = 1;       // physical line of the cursor
-  std::size_t row_line = 1;   // physical line the current row started on
-
-  const auto end_field = [&] {
-    row.push_back(std::move(field));
-    field.clear();
-    field_started = false;
-  };
-  const auto end_row = [&] {
-    if (!row.empty() || field_started || !field.empty()) {
-      end_field();
-      if (!on_row(std::move(row), row_line)) stopped = true;
-      row.clear();
-    }
-  };
-
-  char buffer[1 << 16];
-  while (!stopped && in) {
-    in.read(buffer, sizeof buffer);
-    const auto got = static_cast<std::size_t>(in.gcount());
-    for (std::size_t i = 0; i < got && !stopped; ++i) {
-      const char c = buffer[i];
-      if (pending_cr) {
-        // The CR already terminated the row (and counted the line break);
-        // an immediately following LF is the second half of a CRLF. The
-        // flag lives outside the read loop so CRLF split across two
-        // buffer fills is still one terminator.
-        pending_cr = false;
-        if (c == '\n') continue;
-      }
-      if (quote_pending) {
-        quote_pending = false;
-        if (c == '"') {
-          field.push_back('"');
-          continue;
-        }
-        in_quotes = false;  // the quote closed the field; reprocess c below
-      }
-      if (in_quotes) {
-        if (c == '"') {
-          quote_pending = true;
-        } else {
-          if (c == '\n') ++line;
-          field.push_back(c);
-        }
-        continue;
-      }
-      switch (c) {
-        case '"':
-          // RFC 4180: a quote only opens a quoted field at the start of
-          // the field; after field content it is a literal character.
-          if (field.empty()) {
-            in_quotes = true;
-          } else {
-            field.push_back('"');
-          }
-          field_started = true;
-          break;
-        case ',':
-          end_field();
-          field_started = true;  // next field exists even if empty
-          break;
-        case '\r':
-          // Row terminator: CRLF or bare CR (classic-Mac); pending_cr
-          // swallows the LF half of a CRLF at the top of the loop.
-          end_row();
-          ++line;
-          row_line = line;
-          pending_cr = true;
-          break;
-        case '\n':
-          end_row();
-          ++line;
-          row_line = line;
-          break;
-        default:
-          field.push_back(c);
-          field_started = true;
-          break;
-      }
-    }
-  }
-  if (stopped) return {};
-  if (quote_pending) in_quotes = false;  // closing quote was the last byte
-  if (in_quotes) return {.ok = false, .error_line = row_line};
-  end_row();
-  return {};
 }
 
 }  // namespace sp::io

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <charconv>
-#include <cstring>
 #include <fstream>
 #include <span>
 
@@ -19,97 +18,6 @@ constexpr std::array<std::string_view, kColumns> kHeader = {"queried", "response
 
 /// The writer hands its buffer to the stream once it holds this much.
 constexpr std::size_t kFlushBytes = std::size_t{1} << 16;
-
-/// Walks a CSV document one row at a time, straight over its bytes. An
-/// unquoted field is a view into the text; a quoted field is unescaped
-/// into a buffer of its own column, so every view stays valid until the
-/// next row. Rows of more than kColumns fields are rejected on sight:
-/// no row of a snapshot has that many.
-class RowCursor {
- public:
-  enum class Next { row, end, bad };
-
-  explicit RowCursor(std::string_view text) : text_(text) {}
-
-  /// Reads the next row: `end` once only blank lines are left, `bad` on a
-  /// quote left open or a row too wide.
-  Next next() {
-    while (pos_ < text_.size() && (text_[pos_] == '\n' || text_[pos_] == '\r')) ++pos_;
-    if (pos_ == text_.size()) return Next::end;
-    count_ = 0;
-    while (true) {
-      if (count_ == kColumns || !read_field()) return Next::bad;
-      if (pos_ == text_.size()) return Next::row;
-      const char stop = text_[pos_++];
-      if (stop == ',') continue;
-      if (stop == '\r' && pos_ < text_.size() && text_[pos_] == '\n') ++pos_;
-      return Next::row;
-    }
-  }
-
-  [[nodiscard]] std::span<const std::string_view> fields() const {
-    return {fields_.data(), count_};
-  }
-
- private:
-  /// The position of the next `c` at or after pos_, or the end. Each of
-  /// the three stop bytes keeps its next position, found by memchr and
-  /// searched for again only once the cursor has passed it, so the text
-  /// is scanned once per stop byte however its rows end.
-  std::size_t next_of(std::size_t& cached, char c) {
-    if (cached == kUnsearched || cached < pos_) {
-      const void* hit = std::memchr(text_.data() + pos_, c, text_.size() - pos_);
-      cached = hit == nullptr ? text_.size()
-                              : static_cast<std::size_t>(static_cast<const char*>(hit) -
-                                                         text_.data());
-    }
-    return cached;
-  }
-
-  /// The first comma, CR or LF at or after pos_, or the end.
-  std::size_t field_end() {
-    return std::min({next_of(comma_, ','), next_of(cr_, '\r'), next_of(lf_, '\n')});
-  }
-
-  /// Reads one field from pos_ up to its comma or line break (left
-  /// unconsumed); false when its quote never closes.
-  bool read_field() {
-    const std::size_t start = pos_;
-    if (start == text_.size() || text_[start] != '"') {
-      pos_ = field_end();
-      fields_[count_++] = text_.substr(start, pos_ - start);
-      return true;
-    }
-    std::string& content = unescaped_[count_];
-    content.clear();
-    ++pos_;
-    while (true) {
-      const std::size_t quote = text_.find('"', pos_);
-      if (quote == std::string_view::npos) return false;
-      content.append(text_, pos_, quote - pos_);
-      pos_ = quote + 1;
-      if (pos_ == text_.size() || text_[pos_] != '"') break;
-      content.push_back('"');  // "" inside quotes
-      ++pos_;
-    }
-    const std::size_t end = field_end();  // bytes after the closing quote
-    content.append(text_, pos_, end - pos_);
-    pos_ = end;
-    fields_[count_++] = content;
-    return true;
-  }
-
-  static constexpr std::size_t kUnsearched = std::string_view::npos;
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  std::size_t comma_ = kUnsearched;
-  std::size_t cr_ = kUnsearched;
-  std::size_t lf_ = kUnsearched;
-  std::array<std::string_view, kColumns> fields_;
-  std::array<std::string, kColumns> unescaped_;
-  std::size_t count_ = 0;
-};
 
 // Splits "a|b|c" and parses each element into `parsed` (scratch), then
 // copies the list into `out` at its exact size; empty input gives an
@@ -195,8 +103,8 @@ bool write_snapshot_csv(const std::string& path, const dns::ResolutionSnapshot& 
 }
 
 std::optional<dns::ResolutionSnapshot> parse_snapshot_csv(std::string_view text) {
-  using Next = RowCursor::Next;
-  RowCursor rows(text);
+  using Next = CsvCursor::Next;
+  CsvCursor rows(text);
   if (rows.next() != Next::row) return std::nullopt;
   std::span<const std::string_view> fields = rows.fields();
   if (fields.size() != 2 || fields[0] != "#date") return std::nullopt;
@@ -214,8 +122,9 @@ std::optional<dns::ResolutionSnapshot> parse_snapshot_csv(std::string_view text)
   while (true) {
     const Next next = rows.next();
     if (next == Next::end) return snapshot;
+    if (next == Next::bad) return std::nullopt;
     fields = rows.fields();
-    if (next == Next::bad || fields.size() != kColumns) return std::nullopt;
+    if (fields.size() != kColumns) return std::nullopt;
     dns::DomainResolution entry;
     auto queried = dns::DomainName::from_string(fields[0]);
     if (!queried) return std::nullopt;

@@ -9,20 +9,12 @@
 //
 // Address lists are '|'-separated and may be empty on one side.
 //
-// Accepted dialect (io::parse_csv's):
-//   - a field that starts with '"' is quoted: up to the closing quote,
-//     commas, CRs and LFs are content and "" is one literal quote; bytes
-//     after the closing quote up to the next comma or line break are
-//     appended as they are. A '"' anywhere else in a field is a literal.
-//     A quote left open at the end of the file rejects the file.
-//   - a row ends at LF, CRLF or a bare CR; lines holding nothing (blank
-//     lines, anywhere) are not rows, and the last row needs no line break.
-//   - the first row is exactly "#date" and a YYYY-MM-DD date (month
-//     1-12, day 1-31), the second exactly the four column names, and
-//     every later row has four fields: two domain names
-//     (dns::DomainName::from_string), then an IPv4 and an IPv6 address
-//     list, each empty or addresses joined by single '|' (no empty
-//     element).
+// The file is read in io/csv.h's dialect. The first row is exactly
+// "#date" and a YYYY-MM-DD date (month 1-12, day 1-31), the second
+// exactly the four column names, and every later row has four fields:
+// two domain names (dns::DomainName::from_string), then an IPv4 and an
+// IPv6 address list, each empty or addresses joined by single '|' (no
+// empty element).
 // Anything else rejects the whole file.
 #pragma once
 
@@ -40,8 +32,8 @@ namespace sp::io {
 [[nodiscard]] bool write_snapshot_csv(const std::string& path,
                                       const dns::ResolutionSnapshot& snapshot);
 
-/// Parses a snapshot document in the dialect above, reading each row's
-/// fields in place. Returns nullopt on anything the dialect rejects.
+/// Parses a snapshot document in the layout above, reading each row's
+/// fields in place through io::CsvCursor. Returns nullopt on anything the dialect rejects.
 [[nodiscard]] std::optional<dns::ResolutionSnapshot> parse_snapshot_csv(std::string_view text);
 
 /// Reads a snapshot previously written by write_snapshot_csv (or authored

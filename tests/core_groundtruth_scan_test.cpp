@@ -1,6 +1,6 @@
 // Tests for ground-truth probe evaluation (section 3.5), the port-scan
 // comparison (section 3.6 / Figure 6), sibling set pairs (section 6), and
-// the published-list serialization.
+// the probe list serialization.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -9,7 +9,6 @@
 #include "core/groundtruth.h"
 #include "core/portscan_compare.h"
 #include "core/probes_io.h"
-#include "core/sibling_list_io.h"
 #include "core/sibling_sets.h"
 #include "io/csv.h"
 #include "test_fixtures.h"
@@ -145,90 +144,6 @@ TEST(SiblingSets, GroupsConnectedPairs) {
 
   EXPECT_EQ(sets[1].member_pairs, 1u);
   EXPECT_DOUBLE_EQ(sets[1].similarity, 1.0);
-}
-
-TEST(SiblingListIo, RoundTrips) {
-  const std::string path = ::testing::TempDir() + "/sp_list_test.csv";
-  const std::vector<SiblingPair> pairs = {
-      make_pair("20.1.0.0/16", "2620:100::/48", 1.0, 3),
-      make_pair("20.2.0.0/24", "2620:200::/96", 2.0 / 3.0, 2),
-  };
-  ASSERT_TRUE(write_sibling_list(path, pairs));
-  const auto loaded = read_sibling_list(path);
-  ASSERT_TRUE(loaded.has_value());
-  ASSERT_EQ(loaded->size(), 2u);
-  EXPECT_EQ((*loaded)[0].v4, pairs[0].v4);
-  EXPECT_EQ((*loaded)[1].v6, pairs[1].v6);
-  EXPECT_NEAR((*loaded)[1].similarity, 2.0 / 3.0, 1e-8);
-  EXPECT_EQ((*loaded)[0].shared_domains, 3u);
-  std::remove(path.c_str());
-}
-
-TEST(SiblingListIo, RejectsMalformedFiles) {
-  const std::string path = ::testing::TempDir() + "/sp_list_bad.csv";
-  // Wrong header.
-  ASSERT_TRUE(sp::io::write_csv_file(path, {{"nope"}, {"20.1.0.0/16"}}));
-  EXPECT_FALSE(read_sibling_list(path).has_value());
-  // Swapped families.
-  ASSERT_TRUE(sp::io::write_csv_file(
-      path, {{"v4_prefix", "v6_prefix", "similarity", "shared_domains", "v4_domains",
-              "v6_domains"},
-             {"2620:100::/48", "20.1.0.0/16", "1.0", "1", "1", "1"}}));
-  EXPECT_FALSE(read_sibling_list(path).has_value());
-  // Unparsable similarity.
-  ASSERT_TRUE(sp::io::write_csv_file(
-      path, {{"v4_prefix", "v6_prefix", "similarity", "shared_domains", "v4_domains",
-              "v6_domains"},
-             {"20.1.0.0/16", "2620:100::/48", "high", "1", "1", "1"}}));
-  EXPECT_FALSE(read_sibling_list(path).has_value());
-  EXPECT_FALSE(read_sibling_list("/nonexistent/list.csv").has_value());
-  std::remove(path.c_str());
-}
-
-TEST(SiblingListIo, ReportsOffendingLineOnParseFailure) {
-  const std::string path = ::testing::TempDir() + "/sp_list_lineno.csv";
-  ASSERT_TRUE(sp::io::write_csv_file(
-      path, {{"v4_prefix", "v6_prefix", "similarity", "shared_domains", "v4_domains",
-              "v6_domains"},
-             {"20.1.0.0/16", "2620:100::/48", "1.0", "1", "1", "1"},
-             {"20.2.0.0/16", "2620:200::/48", "1.0", "1", "1", "1"},
-             {"20.3.0.0/16", "2620:300::/48", "broken", "1", "1", "1"}}));
-  SiblingListError error;
-  EXPECT_FALSE(read_sibling_list(path, &error).has_value());
-  EXPECT_EQ(error.line, 4u);
-  EXPECT_EQ(error.message, "bad similarity");
-
-  // A malformed header reports line 1; a missing file reports line 0.
-  ASSERT_TRUE(sp::io::write_csv_file(path, {{"nope"}, {"20.1.0.0/16"}}));
-  EXPECT_FALSE(read_sibling_list(path, &error).has_value());
-  EXPECT_EQ(error.line, 1u);
-  EXPECT_EQ(error.message, "malformed header");
-  EXPECT_FALSE(read_sibling_list("/nonexistent/list.csv", &error).has_value());
-  EXPECT_EQ(error.line, 0u);
-  std::remove(path.c_str());
-}
-
-// The streaming reader handles lists bigger than its 64 KiB read chunks,
-// including rows that straddle a chunk boundary.
-TEST(SiblingListIo, StreamsListsLargerThanOneChunk) {
-  const std::string path = ::testing::TempDir() + "/sp_list_large.csv";
-  std::vector<SiblingPair> pairs;
-  pairs.reserve(4000);
-  for (int i = 0; i < 4000; ++i) {
-    pairs.push_back(make_pair(("20." + std::to_string(i / 250) + "." +
-                               std::to_string(i % 250) + ".0/24")
-                                  .c_str(),
-                              ("2620:" + std::to_string(i % 9000) + "::/48").c_str(),
-                              (i % 100) / 100.0, static_cast<std::uint32_t>(i)));
-  }
-  ASSERT_TRUE(write_sibling_list(path, pairs));
-  const auto loaded = read_sibling_list(path);
-  ASSERT_TRUE(loaded.has_value());
-  ASSERT_EQ(loaded->size(), pairs.size());
-  EXPECT_EQ((*loaded)[0].v4, pairs[0].v4);
-  EXPECT_EQ((*loaded)[3999].v4, pairs[3999].v4);
-  EXPECT_EQ((*loaded)[3999].shared_domains, 3999u);
-  std::remove(path.c_str());
 }
 
 TEST(ProbesIo, RoundTrips) {

@@ -3,7 +3,8 @@
 // reference_corpus.h serves the corpus build.
 //
 // The reference reader parses the whole file into a std::vector<CsvRow>
-// with io::parse_csv first and then converts row by row; the reference
+// with reference_parse_csv (reference_csv.h, a tokenizer of its own)
+// first and then converts row by row; the reference
 // writer builds every row as a CsvRow and hands the document to
 // io::write_csv_file. The library reads each row's fields in place and
 // formats rows into one reused buffer; io_snapshot_csv_test asserts the
@@ -12,6 +13,8 @@
 #pragma once
 
 #include <charconv>
+#include <fstream>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -19,6 +22,7 @@
 
 #include "dns/snapshot.h"
 #include "io/csv.h"
+#include "reference_csv.h"
 
 namespace sp::testsupport {
 
@@ -104,12 +108,15 @@ inline std::optional<dns::ResolutionSnapshot> from_rows(
 /// The whole document as rows first, then each row as an entry.
 inline std::optional<dns::ResolutionSnapshot> reference_parse_snapshot_csv(
     std::string_view text) {
-  return reference_snapshot_detail::from_rows(io::parse_csv(text));
+  return reference_snapshot_detail::from_rows(reference_parse_csv(text));
 }
 
 inline std::optional<dns::ResolutionSnapshot> reference_read_snapshot_csv(
     const std::string& path) {
-  return reference_snapshot_detail::from_rows(io::read_csv_file(path));
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  const std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  return reference_parse_snapshot_csv(text);
 }
 
 /// Every row as a CsvRow, written by io::write_csv_file.
