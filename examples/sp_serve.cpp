@@ -125,7 +125,10 @@ int run_listen(int argc, char** argv) {
     }
   }
 
-  serve::SiblingService service;
+  // One thread: the batch pool exists for query_many, which neither
+  // front-end calls (net workers answer each frame inline), so a larger
+  // pool would only start idle threads.
+  serve::SiblingService service(1);
   std::string error;
   if (!service.load(db_path, &error)) {
     std::fprintf(stderr, "cannot load %s: %s\n", db_path.c_str(), error.c_str());
@@ -194,7 +197,7 @@ int main(int argc, char** argv) {
   if (argc >= 2 && std::string(argv[1]) == "--listen") return run_listen(argc, argv);
   if (argc != 2) return usage();
 
-  serve::SiblingService service;
+  serve::SiblingService service(1);  // stdin queries go through query()
   std::string error;
   if (!service.load(argv[1], &error)) {
     std::fprintf(stderr, "cannot load %s: %s\n", argv[1], error.c_str());

@@ -1,16 +1,18 @@
 #!/usr/bin/env bash
 # Tier-1 verification: full build + test suite, then a ThreadSanitizer
 # pass over the threaded engines (parallel detection, SP-Tuner, delta
-# hot-reload, obs metrics/tracing), an ASan/UBSan pass over the
-# parser-heavy I/O (the CSV cursor against its reference, snapshots and
-# sibling lists, Happy Eyeballs, manifest UTF-8, zone files, MRT dumps)
-# and the flat corpus build, a loopback
-# end-to-end smoke of the sp_serve TCP front-end, a chaos soak smoke
-# (seeded fault injection against the serve path — plain with RSS/p99
-# bounds, under ASan, and in external mode against a real sp_serve —
-# plus a SIGINT-and-resume smoke on sp_pipeline), sp_pipeline's `.zone`
-# input held byte for byte to its snapshot-CSV input, and the project
-# linter (sp_lint) over the whole tree.
+# hot-reload, obs metrics/tracing), an ASan/UBSan pass over the serve
+# path (.sibdb loader, lookup engine, RCU service), the campaign
+# scheduler and resume, the parser-heavy I/O (the CSV cursor against its
+# reference, snapshots and sibling lists, Happy Eyeballs, manifest
+# UTF-8, zone files, MRT dumps) and the flat corpus build, the TCP
+# front-end smoke (scripts/tcp_smoke.sh: sp_soak's external mode against
+# a real sp_serve --listen, /metrics, SIGINT, a dead stdout pipe), a
+# chaos soak smoke (seeded fault injection against an in-process serve
+# path — plain with RSS/p99 bounds, and under ASan — plus a
+# SIGINT-and-resume smoke on sp_pipeline), sp_pipeline's `.zone` input
+# held byte for byte to its snapshot-CSV input, and the project linter
+# (sp_lint) over the whole tree.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -50,8 +52,14 @@ cmake --build build-tsan -j "$JOBS" --target core_detect_parallel_test \
 (cd build-tsan && ctest --output-on-failure -j "$JOBS" \
   -R 'DetectParallel|Parallel|Serve|PipelineStageGraph|PipelineResume\.SerialAndDag|PipelineSignal|WorkerPool|Obs|NetServer|NetProtocol|Stream|Chaos')
 
-# Stage 3: memory-safety pass over the byte-level parsers and the flat
-# corpus under AddressSanitizer + UBSan. The CSV suite checks the one CSV
+# Stage 3: memory-safety pass over the serve path, the campaign runner,
+# the byte-level parsers and the flat corpus under AddressSanitizer +
+# UBSan — the same targets and filter as CI's asan-serve-pipeline job.
+# The serve suites drive the .sibdb mmap loader over round trips and
+# mutated and truncated images, LookupEngine against a linear-scan
+# oracle, and the RCU service's hot-reload race; the pipeline suites
+# drive the stage DAG scheduler and checkpointed resume over real
+# campaigns. The CSV suite checks the one CSV
 # tokenizer, io::CsvCursor, against the state-machine reference on seeded
 # random documents (quoted commas, CRs, LFs and "" escapes, bare CRs,
 # blank lines, open quotes), rows and row lines both; the snapshot-CSV
@@ -73,77 +81,32 @@ cmake --build build-tsan -j "$JOBS" --target core_detect_parallel_test \
 # and the MRT and decoder-robustness suites drive the TABLE_DUMP_V2 and
 # BGP4MP decoders over golden, truncated, bit-flipped and random dumps.
 cmake -B build-asan -S . -DSP_SANITIZE=address,undefined
-cmake --build build-asan -j "$JOBS" --target io_csv_test io_snapshot_csv_test \
-  core_sibling_list_io_test netbase_ip_test \
-  he_happy_eyeballs_test pipeline_manifest_test \
-  core_corpus_detect_test core_corpus_reference_test core_setcorpus_test core_sptuner_test \
-  core_sptuner_reference_test dns_zonefile_test dns_name_test mrt_codec_test \
-  mrt_bgp4mp_test codec_robustness_test
+cmake --build build-asan -j "$JOBS" --target \
+  serve_sibdb_test serve_lookup_test serve_service_test \
+  pipeline_stage_graph_test pipeline_resume_test \
+  pipeline_manifest_test io_csv_test io_snapshot_csv_test core_sibling_list_io_test \
+  netbase_ip_test \
+  he_happy_eyeballs_test core_corpus_detect_test core_corpus_reference_test \
+  core_setcorpus_test core_sptuner_test core_sptuner_reference_test \
+  dns_zonefile_test dns_name_test mrt_codec_test mrt_bgp4mp_test \
+  codec_robustness_test
 (cd build-asan && ctest --output-on-failure -j "$JOBS" \
-  -R 'Csv|SiblingList|IPv4|IPv6|IPAddress|HappyEyeballs|PipelineManifest|DualStackCorpus|DetectSiblings|SetCorpus|SpTuner|CorpusReference|ZoneFile|DomainName|Mrt|Bgp4mp|Rib|DecoderFuzzProperty|FileFormatRobustness')
+  -R 'Serve|Pipeline|Csv|SiblingList|IPv4|IPv6|IPAddress|HappyEyeballs|DualStackCorpus|DetectSiblings|SetCorpus|SpTuner|CorpusReference|ZoneFile|DomainName|Mrt|Bgp4mp|Rib|DecoderFuzzProperty|FileFormatRobustness')
 
-# Stage 4: loopback end-to-end smoke of the TCP front-end — the real
-# binaries, a real socket. Convert a tiny fixture, start sp_serve
-# --listen on an ephemeral port (the LISTENING line is the contract),
-# drive it with sp_loadgen for 5 s, and scrape /metrics over plain HTTP.
-SMOKE_DIR="$(mktemp -d)"
-trap 'rm -rf "$SMOKE_DIR"' EXIT
-cat > "$SMOKE_DIR/pairs.csv" <<'CSV'
-v4_prefix,v6_prefix,similarity,shared_domains,v4_domains,v6_domains
-20.0.0.0/8,2620::/16,0.9,3,4,5
-CSV
-./build/examples/sp_serve --convert "$SMOKE_DIR/pairs.csv" "$SMOKE_DIR/pairs.sibdb"
-./build/examples/sp_serve --listen 127.0.0.1:0 "$SMOKE_DIR/pairs.sibdb" --workers 2 \
-  > "$SMOKE_DIR/serve.out" 2> "$SMOKE_DIR/serve.err" &
-SERVE_PID=$!
-for _ in $(seq 100); do
-  grep -q '^LISTENING ' "$SMOKE_DIR/serve.out" && break
-  sleep 0.1
-done
-PORT="$(sed -n 's/^LISTENING .*:\([0-9]*\)$/\1/p' "$SMOKE_DIR/serve.out")"
-[ -n "$PORT" ] || { echo "tier1: sp_serve --listen never bound" >&2; exit 1; }
-./build/tools/sp_loadgen --host 127.0.0.1 --port "$PORT" \
-  --connections 2 --pipeline 4 --batch 64 --duration 5000 --v4-space 16.0.0.0/4 --json \
-  | tee "$SMOKE_DIR/loadgen.json"
-python3 - "$SMOKE_DIR/loadgen.json" <<'EOF'
-import json, sys
-report = json.load(open(sys.argv[1]))
-assert report["ok"], report.get("error")
-assert report["keys_answered"] > 0 and report["hits"] > 0, report
-print(f"net smoke: {report['qps']:.0f} keys/s, {report['hits']} hits")
-EOF
-if command -v curl > /dev/null; then
-  curl -sf "http://127.0.0.1:$PORT/metrics" | grep -q '"net.queries"' \
-    || { echo "tier1: /metrics scrape failed" >&2; exit 1; }
-fi
-kill -INT "$SERVE_PID" && wait "$SERVE_PID"
-
-# SIGPIPE regression: a supervisor tailing our stdout can exit first
-# (`| head -1` reads the LISTENING line and quits), so the STOPPED line
-# written at shutdown hits a dead pipe. Without the SIG_IGN(SIGPIPE) in
-# sp_serve's main() the write kills the process (exit 141 / SIGPIPE);
-# with it the write fails harmlessly and shutdown completes with 0.
-./build/examples/sp_serve --listen 127.0.0.1:0 "$SMOKE_DIR/pairs.sibdb" --workers 1 \
-  > >(head -1 > "$SMOKE_DIR/sigpipe.out") 2> /dev/null &
-SIGPIPE_PID=$!
-for _ in $(seq 100); do
-  grep -q '^LISTENING ' "$SMOKE_DIR/sigpipe.out" 2> /dev/null && break
-  sleep 0.1
-done
-sleep 0.3  # let the head reader exit so the stdout pipe is truly dead
-kill -INT "$SIGPIPE_PID"
-wait "$SIGPIPE_PID" && SIGPIPE_STATUS=0 || SIGPIPE_STATUS=$?
-if [ "$SIGPIPE_STATUS" -ne 0 ]; then
-  echo "tier1: sp_serve died writing to a dead stdout pipe (status $SIGPIPE_STATUS)" >&2
-  exit 1
-fi
+# Stage 4: end-to-end smoke of the TCP front-end, the real binaries
+# over a real socket: sp_soak's external mode against a running
+# sp_serve --listen (a final sweep compares every fixture key's answer
+# with an oracle), a /metrics scrape, SIGINT to exit 0, and the
+# dead-stdout-pipe check. CI's TCP job runs the same script.
+scripts/tcp_smoke.sh
 
 # Stage 5: chaos soak smoke — sp_soak runs a seeded fault schedule
 # (query bursts, slow and mid-frame-disconnecting readers, connection
-# floods, RELOAD churn with valid, delta and corrupt images) against the
-# serve path and audits every invariant: liveness, corrupt-swap
-# rejection, per-generation query conservation, a byte-correct final
-# sweep against a fresh oracle. Three flavors:
+# floods, RELOAD churn with valid, delta and corrupt images) against an
+# in-process serve path and audits every invariant: liveness,
+# corrupt-swap rejection, per-generation query conservation, a
+# byte-correct final sweep against a fresh oracle. Two flavors (stage 4
+# runs the external mode against a real sp_serve):
 #
 # (a) plain build with hard resource bounds. The RSS ceiling is the
 #     regression net for snapshot retention: a snapshot must be freed
@@ -151,6 +114,8 @@ fi
 #     fixtures' snapshots are small and this run peaks at ~6 MB, so
 #     64 MB trips when snapshots pile up under reload churn or a
 #     snapshot starts to cost tens of MB regardless of its pair count.
+SMOKE_DIR="$(mktemp -d)"
+trap 'rm -rf "$SMOKE_DIR"' EXIT
 ./build/tools/sp_soak --dir "$SMOKE_DIR/soak" --seconds 12 --seed 7 \
   --max-rss-kb 65536 --max-p99-us 50000
 #
@@ -159,23 +124,6 @@ fi
 #     both).
 cmake --build build-asan -j "$JOBS" --target sp_soak
 ./build-asan/tools/sp_soak --dir "$SMOKE_DIR/soak-asan" --seconds 12 --seed 8
-#
-# (c) external mode against a real sp_serve --listen process — the
-#     actual shipped binary, its signal handling and stdout contract
-#     included. In-process-only audits (conservation, RSS) don't apply;
-#     liveness, rejection and the final sweep do.
-./build/examples/sp_serve --listen 127.0.0.1:0 "$SMOKE_DIR/pairs.sibdb" --workers 2 \
-  > "$SMOKE_DIR/soak-serve.out" 2> "$SMOKE_DIR/soak-serve.err" &
-SOAK_SERVE_PID=$!
-for _ in $(seq 100); do
-  grep -q '^LISTENING ' "$SMOKE_DIR/soak-serve.out" && break
-  sleep 0.1
-done
-SOAK_PORT="$(sed -n 's/^LISTENING .*:\([0-9]*\)$/\1/p' "$SMOKE_DIR/soak-serve.out")"
-[ -n "$SOAK_PORT" ] || { echo "tier1: soak sp_serve never bound" >&2; exit 1; }
-./build/tools/sp_soak --dir "$SMOKE_DIR/soak-ext" --seconds 10 --seed 9 \
-  --connect "127.0.0.1:$SOAK_PORT"
-kill -INT "$SOAK_SERVE_PID" && wait "$SOAK_SERVE_PID"
 
 # Signal-and-resume smoke: a real SIGINT to a real sp_pipeline process
 # mid-campaign. The signal goes out once manifest.json exists (the runner

@@ -2,7 +2,7 @@
 // (index.h), runs the per-file rule catalog (rules.h) and the
 // cross-file semantic passes (semantic.h) over it, applies each file's
 // sp-lint suppressions, audits the suppressions for staleness, and
-// aggregates a report for tools/sp_lint, scripts/tier1.sh stage 6, and
+// aggregates a report for tools/sp_lint, scripts/tier1.sh stage 7, and
 // the CI lint job.
 //
 // Pass ordering matters: suppressions are applied only after both the

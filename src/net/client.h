@@ -1,7 +1,7 @@
 // sp::net::Client — a small blocking TCP client for the binary protocol.
 //
-// This is the consumer side the conformance tests and the load generator
-// share: connect, write raw frame bytes, read frames back through the
+// This is the consumer side the conformance tests and the chaos soak
+// driver share: connect, write raw frame bytes, read frames back through the
 // same incremental FrameDecoder the server uses. It is deliberately
 // synchronous (poll-guarded reads/writes with deadlines) — pipelining is
 // expressed by writing several request frames before reading responses,

@@ -1,8 +1,8 @@
 // The one peak-RSS reader every artifact writer shares.
 //
-// Benchmarks, the load generator and the campaign all report the
-// process's resident-memory high-water mark next to their timings; each
-// used to scrape it independently. VmHWM from /proc/self/status is
+// Benchmarks, the soak driver and the campaign all report the process's
+// resident-memory high-water mark next to their timings; each used to
+// scrape it independently. VmHWM from /proc/self/status is
 // preferred (it survives madvise/free, unlike current RSS); where procfs
 // is unavailable the getrusage high water serves as the fallback.
 #pragma once

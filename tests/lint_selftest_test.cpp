@@ -1,7 +1,7 @@
 // sp_lint selftest: every rule fires on its seeded fixture with the
 // exact file:line diagnostics, every suppression fixture silences it
 // with the written reason, and the real tree lints clean — the same
-// assertion tier1.sh stage 4 and the CI lint job make via the CLI.
+// assertion tier1.sh stage 7 and the CI lint job make via the CLI.
 #include "lint/lint.h"
 
 #include <gtest/gtest.h>

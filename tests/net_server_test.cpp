@@ -19,6 +19,7 @@
 #include <fstream>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -205,7 +206,9 @@ TEST(NetServer, IdleConnectionsAreEvicted) {
 // per-generation tallies are conserved: everything the clients were
 // answered is accounted to exactly one generation — in-flight batches
 // that pinned a snapshot across its retirement keep counting into it,
-// not into the void.
+// not into the void. Each batch mixes hits and misses of both families,
+// and the server's net.frames.query, net.queries and hit count must
+// equal what the clients sent and saw.
 TEST(NetServer, ReloadUnderLoadConservesGenerationTallies) {
   const std::string db = write_fixture_db("net_server_race.sibdb");
   serve::SiblingService service(2);
@@ -223,6 +226,11 @@ TEST(NetServer, ReloadUnderLoadConservesGenerationTallies) {
   constexpr unsigned kFramesPerClient = 40;
   constexpr unsigned kPipeline = 4;
   constexpr unsigned kBatch = 32;
+  // Key i of every batch is kKeys[i % 4]; kMatched[i % 4] is its answer.
+  const Prefix kKeys[] = {p("20.1.2.3/32"), p("2620:100::1/128"), p("30.0.0.1/32"),
+                          p("2001:db8::1/128")};
+  const std::optional<Prefix> kMatched[] = {p("20.1.0.0/16"), p("2620:100::/32"),
+                                            std::nullopt, std::nullopt};
   std::atomic<std::uint64_t> answered{0};
   std::atomic<std::uint64_t> hits{0};
   std::atomic<bool> failed{false};
@@ -243,7 +251,7 @@ TEST(NetServer, ReloadUnderLoadConservesGenerationTallies) {
         while (sent < kFramesPerClient && sent - received < kPipeline) {
           QueryRequest request;
           request.request_id = who * 1000 + sent;
-          request.keys.assign(kBatch, p("20.1.2.3/32"));
+          for (unsigned i = 0; i < kBatch; ++i) request.keys.push_back(kKeys[i % 4]);
           std::vector<std::uint8_t> wire;
           encode_query_request(wire, request);
           if (!client->send_bytes(wire, &client_error)) {
@@ -263,13 +271,16 @@ TEST(NetServer, ReloadUnderLoadConservesGenerationTallies) {
           failed.store(true);
           return;
         }
-        for (const auto& answer : response->answers) {
+        for (unsigned i = 0; i < kBatch; ++i) {
           // Never torn: every answer comes whole from some snapshot.
-          if (!answer || answer->matched != p("20.1.0.0/16")) {
+          const auto& answer = response->answers[i];
+          const std::optional<Prefix> matched =
+              answer ? std::optional<Prefix>(answer->matched) : std::nullopt;
+          if (matched != kMatched[i % 4]) {
             failed.store(true);
             return;
           }
-          hits.fetch_add(1);
+          if (answer) hits.fetch_add(1);
         }
         answered.fetch_add(response->answers.size());
         ++received;
@@ -306,9 +317,11 @@ TEST(NetServer, ReloadUnderLoadConservesGenerationTallies) {
   reloader.join();
   ASSERT_FALSE(failed.load());
 
-  const std::uint64_t expected = kClients * kFramesPerClient * kBatch;
+  const std::uint64_t frames = kClients * kFramesPerClient;
+  const std::uint64_t expected = frames * kBatch;
+  const std::uint64_t expected_hits = expected / 2;
   EXPECT_EQ(answered.load(), expected);
-  EXPECT_EQ(hits.load(), expected);
+  EXPECT_EQ(hits.load(), expected_hits);
 
   // Conservation: every answered key is tallied in exactly one
   // generation (live, retired, or compacted) — the lazy retirement in
@@ -322,14 +335,23 @@ TEST(NetServer, ReloadUnderLoadConservesGenerationTallies) {
     tallied_hits += generation.hits;
   }
   EXPECT_EQ(tallied, expected);
-  EXPECT_EQ(tallied_hits, expected);
+  EXPECT_EQ(tallied_hits, expected_hits);
   EXPECT_GE(stats.generations.size(), 2u);  // the churn actually happened
   server.stop();
 
   const ServerStats server_stats = server.stats();
   EXPECT_EQ(server_stats.queries, expected);
-  EXPECT_EQ(server_stats.hits, expected);
+  EXPECT_EQ(server_stats.hits, expected_hits);
   EXPECT_EQ(server_stats.reloads_ok, 25u);
+  const obs::MetricsSnapshot metrics = registry.scrape();
+  const auto counter = [&](const std::string& name) -> std::int64_t {
+    for (const auto& [counter_name, value] : metrics.counters) {
+      if (counter_name == name) return value;
+    }
+    return -1;
+  };
+  EXPECT_EQ(counter("net.frames.query"), static_cast<std::int64_t>(frames));
+  EXPECT_EQ(counter("net.queries"), static_cast<std::int64_t>(expected));
 }
 
 // A peer that wedges the server's output buffer and then vanishes with
