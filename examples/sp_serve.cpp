@@ -48,25 +48,21 @@ void print_answer(const std::string& query, const serve::SiblingAnswer& answer,
 }
 
 void print_stats(const serve::ServiceStats& stats) {
-  std::printf("STATS gen=%llu queries=%llu hits=%llu misses=%llu batches=%llu "
-              "batch_queries=%llu reloads=%llu query_ms=%.3f batch_ms=%.3f\n",
+  // Only single queries: neither front-end batches through query_many, so
+  // the service's batch figures would always read zero here.
+  std::printf("STATS gen=%llu queries=%llu hits=%llu misses=%llu reloads=%llu "
+              "query_ms=%.3f\n",
               static_cast<unsigned long long>(stats.generation),
               static_cast<unsigned long long>(stats.queries),
               static_cast<unsigned long long>(stats.hits),
               static_cast<unsigned long long>(stats.misses),
-              static_cast<unsigned long long>(stats.batches),
-              static_cast<unsigned long long>(stats.batch_queries),
-              static_cast<unsigned long long>(stats.reloads), stats.query_ms_total,
-              stats.batch_ms_total);
+              static_cast<unsigned long long>(stats.reloads), stats.query_ms_total);
   // Distribution line: log₂-histogram quantile estimates (obs/metrics.h),
   // exact max; all in microseconds.
   std::printf("STATS latency query_p50_us=%.1f query_p90_us=%.1f query_p99_us=%.1f "
-              "query_max_us=%llu batch_p50_us=%.1f batch_p90_us=%.1f batch_p99_us=%.1f "
-              "batch_max_us=%llu\n",
+              "query_max_us=%llu\n",
               stats.query_p50_us, stats.query_p90_us, stats.query_p99_us,
-              static_cast<unsigned long long>(stats.query_max_us), stats.batch_p50_us,
-              stats.batch_p90_us, stats.batch_p99_us,
-              static_cast<unsigned long long>(stats.batch_max_us));
+              static_cast<unsigned long long>(stats.query_max_us));
   // Generations older than the retained window, folded into one bucket
   // so reload churn cannot grow this report (or service memory) forever.
   if (stats.compacted_generations > 0) {

@@ -6,9 +6,11 @@
 #      its LISTENING line (the stdout contract);
 #   3. run sp_soak's external mode against it: seeded query bursts,
 #      misbehaving clients and RELOAD churn (valid, delta and corrupt
-#      images), then a final sweep that compares every fixture key's
-#      answer with an oracle. The report must be ok, and the sweep must
-#      compare keys and find no mismatch;
+#      images), with each probe answer compared with the oracle of the
+#      generation that gave it, then a final sweep that compares every
+#      fixture key's answer with an oracle. The report must be ok, the
+#      probes must have checked answers, and the sweep must compare keys
+#      and find no mismatch;
 #   4. scrape /metrics over plain HTTP; it must carry net.queries;
 #   5. SIGINT: the server must print its STOPPED line and exit 0;
 #   6. the dead-stdout-pipe check (below).
@@ -51,6 +53,8 @@ report = json.load(open(sys.argv[1]))
 problems = list(report["violations"])
 if not report["ok"] or sys.argv[2] != "0":
     problems.append(f"soak report not ok (exit {sys.argv[2]})")
+if report["probe_keys_checked"] == 0:
+    problems.append("the probes checked no answer")
 if report["sweep_keys"] == 0:
     problems.append("the final sweep compared no keys")
 if report["sweep_mismatches"] != 0:
@@ -58,7 +62,8 @@ if report["sweep_mismatches"] != 0:
 if problems:
     sys.exit("tcp-smoke: " + "; ".join(problems))
 print(f"tcp-smoke: soak ok, {report['events']} events, {report['client_queries']} "
-      f"keys, {report['corrupt_reloads']} corrupt RELOADs rejected, final sweep "
+      f"keys, {report['corrupt_reloads']} corrupt RELOADs rejected, "
+      f"{report['probe_keys_checked']} probe answers checked, final sweep "
       f"{report['sweep_keys']} keys / 0 mismatches")
 EOF
 

@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
-# Tier-1 verification: full build + test suite, then a ThreadSanitizer
-# pass over the threaded engines (parallel detection, SP-Tuner, delta
-# hot-reload, obs metrics/tracing), an ASan/UBSan pass over the serve
+# Tier-1 verification: full build + test suite, then the sanitizer
+# suites of scripts/sanitizer_suites.sh: a ThreadSanitizer pass over the
+# threaded engines (parallel detection, SP-Tuner, the campaign DAG, delta
+# hot-reload, obs metrics/tracing) and an ASan/UBSan pass over the serve
 # path (.sibdb loader, lookup engine, RCU service), the campaign
 # scheduler and resume, the parser-heavy I/O (the CSV cursor against its
 # reference, snapshots and sibling lists, Happy Eyeballs, manifest
-# UTF-8, zone files, MRT dumps) and the flat corpus build, the TCP
-# front-end smoke (scripts/tcp_smoke.sh: sp_soak's external mode against
-# a real sp_serve --listen, /metrics, SIGINT, a dead stdout pipe), a
+# UTF-8, zone files, MRT dumps and the RIB round trip) and the flat
+# corpus build, the TCP front-end smoke (scripts/tcp_smoke.sh: sp_soak's
+# external mode against a real sp_serve --listen, /metrics, SIGINT, a
+# dead stdout pipe), a
 # chaos soak smoke (seeded fault injection against an in-process serve
 # path — plain with RSS/p99 bounds, and under ASan — plus a
 # SIGINT-and-resume smoke on sp_pipeline), sp_pipeline's `.zone` input
@@ -23,80 +25,22 @@ cmake -B build -S .
 cmake --build build -j "$JOBS"
 (cd build && ctest --output-on-failure -j "$JOBS")
 
-# Stage 2: race the threaded code paths under ThreadSanitizer. Only the
-# thread-bearing test binaries are built — the figure benches and examples
-# don't need instrumentation. The serve suite covers the RCU hot-reload
-# race and the pooled batch lookups; the pipeline suite covers the DAG
-# scheduler's drain loop on the fork-join worker pool (layered-graph
-# stress, N stages at once on N workers) and a real two-worker campaign
-# (PipelineResume.SerialAndDag, byte-identical to the serial schedule);
-# the obs suites race sharded metric increments and trace spans against
-# concurrent scrapes/serialization.
-# The net suites race the epoll workers: pipelined QUERY traffic over
-# several connections against RELOAD hot-swaps, slow-reader
-# backpressure, and the acceptor's inbox handoff. The detection suite
-# asserts byte-identity with the serial oracle at every thread count,
-# on a scale-3 universe too, so a race would also surface as a wrong
-# answer. The stream suites race delta hot-reloads against concurrent
-# sp_serve queries. The chaos soak suite races the entire serving stack
-# at once — probe threads, fault injection, RELOAD churn — and the
-# signal suite races the graceful-stop flag against the DAG scheduler's
-# in-flight stages.
-cmake -B build-tsan -S . -DSP_SANITIZE=thread
-cmake --build build-tsan -j "$JOBS" --target core_detect_parallel_test \
-  core_sptuner_parallel_test serve_lookup_test serve_service_test \
-  core_worker_pool_test pipeline_stage_graph_test pipeline_resume_test \
-  obs_metrics_test obs_trace_test net_server_test net_protocol_test \
-  stream_spdl_test stream_serve_delta_test \
-  chaos_scenario_test chaos_soak_test pipeline_signal_test
-(cd build-tsan && ctest --output-on-failure -j "$JOBS" \
-  -R 'DetectParallel|Parallel|Serve|PipelineStageGraph|PipelineResume\.SerialAndDag|PipelineSignal|WorkerPool|Obs|NetServer|NetProtocol|Stream|Chaos')
-
-# Stage 3: memory-safety pass over the serve path, the campaign runner,
-# the byte-level parsers and the flat corpus under AddressSanitizer +
-# UBSan — the same targets and filter as CI's asan-serve-pipeline job.
-# The serve suites drive the .sibdb mmap loader over round trips and
-# mutated and truncated images, LookupEngine against a linear-scan
-# oracle, and the RCU service's hot-reload race; the pipeline suites
-# drive the stage DAG scheduler and checkpointed resume over real
-# campaigns. The CSV suite checks the one CSV
-# tokenizer, io::CsvCursor, against the state-machine reference on seeded
-# random documents (quoted commas, CRs, LFs and "" escapes, bare CRs,
-# blank lines, open quotes), rows and row lines both; the snapshot-CSV
-# and sibling-list suites drive the cursor's index arithmetic over file
-# bytes (quoted fields, CRLF, bare CR, blank lines, cut-off and malformed
-# files) against the readers they replaced, and the
-# address suite drives the one-pass IPv6 parser's group array over 4M
-# random and structured strings against the tokenizing reference. The
-# corpus, reference-corpus, SetCorpus and SP-Tuner suites drive the
-# sorted-edge build's uint32 offset arithmetic over its CSRs and
-# SP-Tuner's spans into them; the reference-corpus
-# corner cases drive the announcement interval table's per-length
-# host-bit masks (a shift by the full address width is undefined) and
-# its ends at the top of each family's space. The SP-Tuner reference
-# suite drives the tuner's row indexes into the host ranges and its
-# per-domain mask scratch on seeded months. The zone-file and domain-name
-# suites drive the master-file tokenizer's index arithmetic (comments,
-# quotes, parenthesized continuations, unterminated quotes and parens),
-# and the MRT and decoder-robustness suites drive the TABLE_DUMP_V2 and
-# BGP4MP decoders over golden, truncated, bit-flipped and random dumps.
-cmake -B build-asan -S . -DSP_SANITIZE=address,undefined
-cmake --build build-asan -j "$JOBS" --target \
-  serve_sibdb_test serve_lookup_test serve_service_test \
-  pipeline_stage_graph_test pipeline_resume_test \
-  pipeline_manifest_test io_csv_test io_snapshot_csv_test core_sibling_list_io_test \
-  netbase_ip_test \
-  he_happy_eyeballs_test core_corpus_detect_test core_corpus_reference_test \
-  core_setcorpus_test core_sptuner_test core_sptuner_reference_test \
-  dns_zonefile_test dns_name_test mrt_codec_test mrt_bgp4mp_test \
-  codec_robustness_test
-(cd build-asan && ctest --output-on-failure -j "$JOBS" \
-  -R 'Serve|Pipeline|Csv|SiblingList|IPv4|IPv6|IPAddress|HappyEyeballs|DualStackCorpus|DetectSiblings|SetCorpus|SpTuner|CorpusReference|ZoneFile|DomainName|Mrt|Bgp4mp|Rib|DecoderFuzzProperty|FileFormatRobustness')
+# Stage 2: race the threaded code paths under ThreadSanitizer (the
+# parallel engines, serve hot reload, the campaign DAG and its in-memory
+# month hand-offs, obs, net, stream, chaos). Stage 3: a memory-safety
+# pass under AddressSanitizer + UBSan over the serve path, the campaign
+# runner, the byte-level parsers, the RIB round trip and the flat corpus.
+# scripts/sanitizer_suites.sh keeps the one list of targets and filters
+# per sanitizer; CI's tsan-threads and asan-serve-pipeline jobs run it
+# too.
+scripts/sanitizer_suites.sh thread
+scripts/sanitizer_suites.sh address
 
 # Stage 4: end-to-end smoke of the TCP front-end, the real binaries
 # over a real socket: sp_soak's external mode against a running
-# sp_serve --listen (a final sweep compares every fixture key's answer
-# with an oracle), a /metrics scrape, SIGINT to exit 0, and the
+# sp_serve --listen (its probes check each answer against the oracle of
+# the generation that gave it, and a final sweep compares every fixture
+# key's answer with an oracle), a /metrics scrape, SIGINT to exit 0, and the
 # dead-stdout-pipe check. CI's TCP job runs the same script.
 scripts/tcp_smoke.sh
 

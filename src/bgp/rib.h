@@ -59,6 +59,9 @@ class Rib {
   /// Exact-match origin AS for a stored prefix.
   [[nodiscard]] std::optional<std::uint32_t> origin_as(const Prefix& prefix) const;
 
+  /// Every origin observation of a stored prefix; null for other prefixes.
+  [[nodiscard]] const RouteVotes* votes(const Prefix& prefix) const { return trie_.find(prefix); }
+
   /// Longest-prefix match for an address: the most specific covering
   /// announced prefix and its origin AS.
   [[nodiscard]] std::optional<Lookup> lookup(const IPAddress& address) const;

@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <mutex>
 #include <span>
 #include <optional>
@@ -196,6 +197,24 @@ std::string json_escape(const std::string& text) {
   return out;
 }
 
+/// The answers one fixture snapshot must give: its loaded file and a
+/// lookup engine over it. Built in place and never moved, since the
+/// engine points into the loaded file.
+struct Oracle {
+  Oracle(std::string fixture, serve::SiblingDB loaded)
+      : name(std::move(fixture)), db(std::move(loaded)), engine(db) {}
+
+  /// The answer to `key` as a QUERY frame carries it: a full-length key
+  /// is an address query, any other a prefix query.
+  [[nodiscard]] std::optional<serve::SiblingAnswer> answer(const Prefix& key) const {
+    return key.length() == key.max_length() ? engine.query(key.address()) : engine.query(key);
+  }
+
+  std::string name;
+  serve::SiblingDB db;
+  serve::LookupEngine engine;
+};
+
 // ---------------------------------------------------------------------------
 
 class Soak {
@@ -218,6 +237,24 @@ class Soak {
     if (!outcome.ok) violation(outcome.error);
   }
 
+  /// Before a RELOAD that, if accepted, publishes `oracle`'s snapshot as
+  /// the next generation (fault thread only). The soak is the target's only
+  /// reloader, so generations count its accepted RELOADs; while the live
+  /// generation is unknown nothing is recorded.
+  void expect_next_generation(const Oracle& oracle) {
+    if (last_generation_ == 0) return;
+    const std::lock_guard<std::mutex> lock(served_mutex_);
+    served_[last_generation_ + 1] = &oracle;
+  }
+  /// The oracle of the snapshot that `generation` serves; null for a
+  /// generation the soak did not install (an external server's start-up
+  /// snapshot).
+  [[nodiscard]] const Oracle* oracle_of(std::uint64_t generation) {
+    const std::lock_guard<std::mutex> lock(served_mutex_);
+    const auto after = served_.upper_bound(generation);
+    return after == served_.begin() ? nullptr : std::prev(after)->second;
+  }
+
   void probe_loop(unsigned id);
   void fault_loop();
 
@@ -237,14 +274,24 @@ class Soak {
   SoakConfig config_;
   FaultTarget target_;
   Fixtures fix_;
+  std::optional<Oracle> oracle_a_;
+  std::optional<Oracle> oracle_b_;
   std::atomic<bool> stop_{false};
   // lock-order: 70 chaos.soak.report_mutex (guards the violation list
   // only; leaf — nothing is acquired under it)
   std::mutex report_mutex_;
   std::vector<std::string> violations_;
+  // lock-order: 71 chaos.soak.served_mutex (guards served_ only; leaf —
+  // nothing is acquired under it)
+  std::mutex served_mutex_;
+  /// First generation of each snapshot the soak installed → its oracle; a
+  /// generation is served by the entry at or below it.
+  std::map<std::uint64_t, const Oracle*> served_;
 
   std::atomic<std::uint64_t> client_queries_{0};
   std::atomic<std::uint64_t> connect_failures_{0};
+  std::atomic<std::uint64_t> probe_keys_checked_{0};
+  std::atomic<std::uint64_t> probe_mismatches_{0};
 
   // Fault-thread-only state (single walker; read by run() after join).
   std::optional<net::Client> control_;
@@ -341,6 +388,7 @@ std::optional<net::QueryResponse> Soak::control_probe(std::uint64_t salt) {
 }
 
 void Soak::do_valid_reload(const std::string& path, bool to_b) {
+  expect_next_generation(to_b ? *oracle_b_ : *oracle_a_);
   auto response = control_reload(path);
   if (!response) return;
   if (!response->ok) {
@@ -357,6 +405,7 @@ void Soak::do_valid_reload(const std::string& path, bool to_b) {
 }
 
 void Soak::do_delta_reload(std::uint64_t index) {
+  if (!serving_b_) expect_next_generation(*oracle_b_);
   auto response = control_reload(fix_.delta_path);
   if (!response) return;
   if (serving_b_) {
@@ -500,6 +549,17 @@ void Soak::probe_loop(unsigned id) {
       client.reset();
       continue;
     }
+    if (const Oracle* oracle = oracle_of(response->generation)) {
+      for (std::size_t k = 0; k < request.keys.size(); ++k) {
+        if (response->answers[k] == oracle->answer(request.keys[k])) continue;
+        if (probe_mismatches_.fetch_add(1) == 0) {
+          violation("probe " + std::to_string(id) + ": " + request.keys[k].to_string() +
+                    " at generation " + std::to_string(response->generation) +
+                    " answered unlike fixture " + oracle->name);
+        }
+      }
+      probe_keys_checked_.fetch_add(request.keys.size());
+    }
     last_ok = steady_clock::now();
     reported_unreachable = false;
     ++iter;
@@ -524,12 +584,6 @@ void Soak::final_sweep(SoakReport& report) {
   // Quiesced byte-correctness: every fixture key answered over TCP must
   // equal an independently loaded oracle's answer.
   std::string error;
-  auto oracle_db = serve::SiblingDB::load(fix_.a_path, &error);
-  if (!oracle_db) {
-    violation("sweep oracle load failed: " + error);
-    return;
-  }
-  const serve::LookupEngine oracle(*oracle_db);
   auto client = net::Client::connect(target_.host, target_.port, &error, milliseconds(2000));
   if (!client) {
     violation("sweep connect failed: " + error);
@@ -560,11 +614,8 @@ void Soak::final_sweep(SoakReport& report) {
     }
     for (std::size_t i = 0; i < request.keys.size(); ++i) {
       const Prefix& key = request.keys[i];
-      const auto expected = key.length() == key.max_length()
-                                ? oracle.query(key.address())
-                                : oracle.query(key);
       ++report.sweep_keys;
-      if (response->answers[i] != expected) {
+      if (response->answers[i] != oracle_a_->answer(key)) {
         if (report.sweep_mismatches == 0)
           violation("sweep mismatch at key " + key.to_string());
         ++report.sweep_mismatches;
@@ -582,6 +633,15 @@ SoakReport Soak::run() {
     return report;
   }
   fix_ = std::move(*fixtures);
+  // The oracles load the fixture files afresh, independent of the server.
+  auto db_a = serve::SiblingDB::load(fix_.a_path, &error);
+  auto db_b = db_a ? serve::SiblingDB::load(fix_.b_path, &error) : std::nullopt;
+  if (!db_a || !db_b) {
+    report.violations.push_back("oracle load failed: " + error);
+    return report;
+  }
+  oracle_a_.emplace("A", std::move(*db_a));
+  oracle_b_.emplace("B", std::move(*db_b));
 
   // In-process serving stack. A private registry keeps net.* metrics
   // (and their quantiles) scoped to this run.
@@ -593,6 +653,11 @@ SoakReport Soak::run() {
     if (!service->load(fix_.a_path, &error)) {
       report.violations.push_back("initial load: " + error);
       return report;
+    }
+    const std::uint64_t first_generation = service->stats().generation;
+    {
+      const std::lock_guard<std::mutex> lock(served_mutex_);
+      served_[first_generation] = &*oracle_a_;
     }
     net::ServerConfig server_config;
     server_config.workers = config_.server_workers;
@@ -698,6 +763,8 @@ SoakReport Soak::run() {
   report.fault_events = fault_events_;
   report.client_queries = client_queries_.load();
   report.connect_failures = connect_failures_.load();
+  report.probe_keys_checked = probe_keys_checked_.load();
+  report.probe_mismatches = probe_mismatches_.load();
   {
     std::lock_guard<std::mutex> lock(report_mutex_);
     report.violations.insert(report.violations.end(), violations_.begin(), violations_.end());
@@ -716,7 +783,9 @@ std::string SoakReport::to_json() const {
       << ",\"mismatched_delta_reloads\":" << mismatched_delta_reloads
       << ",\"corrupt_reloads\":" << corrupt_reloads << ",\"fault_events\":" << fault_events
       << ",\"connect_failures\":" << connect_failures
-      << ",\"client_queries\":" << client_queries << ",\"server_queries\":" << server_queries
+      << ",\"client_queries\":" << client_queries
+      << ",\"probe_keys_checked\":" << probe_keys_checked
+      << ",\"probe_mismatches\":" << probe_mismatches << ",\"server_queries\":" << server_queries
       << ",\"generation_query_sum\":" << generation_query_sum
       << ",\"accept_errors\":" << accept_errors
       << ",\"final_generation\":" << final_generation << ",\"sweep_keys\":" << sweep_keys

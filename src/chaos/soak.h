@@ -12,6 +12,11 @@
 //     continuously for >5s is a violation);
 //   * every corrupt RELOAD was rejected AND the previous snapshot kept
 //     answering (probed on the same pipelined control connection);
+//   * every probe answer from a generation the soak installed equals the
+//     answer of that generation's fixture (A or B): the fault thread
+//     records the generation each RELOAD will publish before sending it,
+//     and answers from any other generation (an external server's
+//     start-up snapshot) go unchecked;
 //   * per-generation query tallies are conserved exactly:
 //     Σ generations.queries + compacted.queries == ServerStats.queries;
 //   * a final full-drain sweep over every fixture key is byte-equal to a
@@ -21,8 +26,9 @@
 //
 // External mode (`connect_host` set) points the same schedule at an
 // already-listening sp_serve; the process-local checks (conservation,
-// RSS, fd limits) are skipped and liveness/corrupt-rejection/sweep/p99
-// remain. The workdir must be readable by the target server.
+// RSS, fd limits) are skipped and liveness/corrupt-rejection/probe
+// answers/sweep/p99 remain. The workdir must be readable by the target
+// server.
 //
 // Determinism: the event sequence is a pure function of `seed`
 // (scenario.h); timing-dependent interleaving varies between runs, the
@@ -73,6 +79,10 @@ struct SoakReport {
   std::uint64_t connect_failures = 0;
 
   std::uint64_t client_queries = 0;  // keys sent by probes + actors
+  /// Probe answers compared with the oracle of the generation that gave
+  /// them, and how many differed (each a violation's worth; one is listed).
+  std::uint64_t probe_keys_checked = 0;
+  std::uint64_t probe_mismatches = 0;
   std::uint64_t server_queries = 0;  // ServerStats.queries at the end (in-process)
   std::uint64_t generation_query_sum = 0;  // Σ generations + compacted (in-process)
   std::uint64_t accept_errors = 0;         // in-process

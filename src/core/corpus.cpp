@@ -186,12 +186,16 @@ IPAddress address_of(const Edge6& edge) noexcept {
 
 DualStackCorpus DualStackCorpus::build(const dns::ResolutionSnapshot& snapshot,
                                        const bgp::Rib& rib) {
+  return build(snapshot, rib.prefixes());
+}
+
+DualStackCorpus DualStackCorpus::build(const dns::ResolutionSnapshot& snapshot,
+                                       std::span<const Prefix> announced) {
   DualStackCorpus corpus;
   corpus.stats_.snapshot_domains = snapshot.domain_count();
 
   // The announcements in prefix order, v4 first. An announcement's ordinal
   // is its rank within its family, so ordinal order is prefix order.
-  const std::vector<Prefix> announced = rib.prefixes();
   const auto v6_first = std::partition_point(
       announced.begin(), announced.end(), [](const Prefix& p) { return p.family() == Family::v4; });
   const std::span<const Prefix> v4_announced(announced.begin(), v6_first);

@@ -88,8 +88,15 @@ class DualStackCorpus {
     std::size_t host_domain_edges = 0;      // distinct (address, domain) pairs
   };
 
+  /// Builds over the RIB's announced prefixes (forwards to the form below).
   [[nodiscard]] static DualStackCorpus build(const dns::ResolutionSnapshot& snapshot,
                                              const bgp::Rib& rib);
+
+  /// Builds over `announced`, all that build reads of a RIB: its
+  /// announced prefixes, v4 first, in prefix order, each once — what
+  /// bgp::Rib::prefixes() returns.
+  [[nodiscard]] static DualStackCorpus build(const dns::ResolutionSnapshot& snapshot,
+                                             std::span<const Prefix> announced);
 
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
   [[nodiscard]] const DomainInterner& interner() const noexcept { return interner_; }

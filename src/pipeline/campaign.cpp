@@ -9,8 +9,10 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <type_traits>
 #include <unordered_map>
+#include <utility>
 
 #include "bgp/rib.h"
 #include "core/corpus.h"
@@ -145,9 +147,9 @@ bool mkdir_p(const std::string& dir, std::string* error) {
 
 /// One campaign execution: owns the universe, the graph, and the
 /// manifest bookkeeping. Stage bodies run on pool workers; every shared
-/// structure below is either sized before run() (states_, months_) with
-/// publication ordered by the graph's dependency edges, or guarded by
-/// its own mutex (pending_, manifest_, per-month corpus slots).
+/// structure below is either sized before run() (states_, months_,
+/// release_) with publication ordered by the graph's dependency edges, or
+/// guarded by its own mutex (pending_, manifest_, per-month slots).
 class Runner {
  public:
   Runner(const CampaignConfig& config, bool resume,
@@ -165,11 +167,24 @@ class Runner {
   struct StageState {
     std::uint64_t outputs_hash = kFnvBasis;
   };
+  /// What one month's stages hand each other in memory. A producer fills
+  /// its slot once its files are durable; the one consumer takes it, and
+  /// the slot is emptied when that consumer reaches any terminal status
+  /// (release_). An empty slot means the producer was cached or ran in an
+  /// earlier process, and the consumer loads the producer's file.
   struct MonthContext {
     std::mutex mutex;
+    std::optional<bgp::Rib> rib;                      // evolve[m] → evolve[m+1]
+    std::optional<std::vector<Prefix>> announced;     // evolve[m] → corpus[m]
+    std::optional<dns::ResolutionSnapshot> snapshot;  // export[m] → corpus[m]
+    // corpus[m] (or whichever of the month's stages runs first) →
+    // detect[m], sptuner[m]
     std::shared_ptr<const core::DualStackCorpus> corpus;
   };
 
+  [[nodiscard]] MonthContext& month_context(int month) {
+    return *months_[static_cast<std::size_t>(month)];
+  }
   [[nodiscard]] std::string abs(const std::string& rel) const {
     return config_.out_dir + "/" + rel;
   }
@@ -208,6 +223,9 @@ class Runner {
   StageGraph graph_;
   std::vector<StageState> states_;                  // by StageId, sized pre-run
   std::vector<std::unique_ptr<MonthContext>> months_;
+  /// By consumer stage name: empties the slots that stage consumes. Built
+  /// with the graph, called from the graph observer.
+  std::unordered_map<std::string, std::function<void()>> release_;
 
   RunManifest old_;       // resume source (empty on fresh runs)
   RunManifest manifest_;  // being written
@@ -324,6 +342,7 @@ Runner::StageId Runner::add_stage(std::string name, std::vector<StageId> deps,
 }
 
 void Runner::on_stage_result(const StageResult& result) {
+  if (const auto it = release_.find(result.name); it != release_.end()) it->second();
   StageRecord record;
   {
     const std::lock_guard<std::mutex> lock(pending_mutex_);
@@ -384,24 +403,29 @@ std::optional<std::vector<core::SiblingPair>> Runner::read_pairs(const std::stri
 }
 
 std::shared_ptr<const core::DualStackCorpus> Runner::corpus_for(int month, std::string* error) {
-  MonthContext& context = *months_[static_cast<std::size_t>(month)];
+  MonthContext& context = month_context(month);
   const std::lock_guard<std::mutex> lock(context.mutex);
-  if (!context.corpus) {
+  if (context.corpus) return context.corpus;
+  // Each input comes from its hand-off slot when its producer ran in this
+  // process, else from the producer's checkpoint-verified file.
+  std::optional<std::vector<Prefix>> announced = std::exchange(context.announced, std::nullopt);
+  if (!announced) {
     std::string parse_error;
     const auto records = mrt::read_file(abs(rib_name(month)), &parse_error);
     if (!records) {
       *error = "cannot read " + rib_name(month) + ": " + parse_error;
       return nullptr;
     }
-    const auto snapshot = io::read_snapshot_csv(abs(snapshot_name(month)));
-    if (!snapshot) {
-      *error = "cannot read " + snapshot_name(month);
-      return nullptr;
-    }
-    const bgp::Rib rib = bgp::Rib::from_mrt(*records);
-    context.corpus = std::make_shared<const core::DualStackCorpus>(
-        core::DualStackCorpus::build(*snapshot, rib));
+    announced = bgp::Rib::from_mrt(*records).prefixes();
   }
+  std::optional<dns::ResolutionSnapshot> snapshot = std::exchange(context.snapshot, std::nullopt);
+  if (!snapshot) snapshot = io::read_snapshot_csv(abs(snapshot_name(month)));
+  if (!snapshot) {
+    *error = "cannot read " + snapshot_name(month);
+    return nullptr;
+  }
+  context.corpus = std::make_shared<const core::DualStackCorpus>(
+      core::DualStackCorpus::build(*snapshot, *announced));
   return context.corpus;
 }
 
@@ -439,27 +463,49 @@ void Runner::build_graph() {
     evolve_ids[m] = add_stage(
         "evolve[" + d + "]",
         m == 0 ? std::vector<StageId>{} : std::vector<StageId>{evolve_ids[m - 1]}, synth_hash,
-        std::move(evolve_outputs), [this, m](std::string* error) {
-          if (m == 0) return write_mrt(rib_name(0), universe_.mrt_dump_at(0), error);
-          std::string parse_error;
-          const auto previous = [&] {
-            const obs::ScopedSpan span("evolve.read_rib", "phase");
-            return mrt::read_file(abs(rib_name(m - 1)), &parse_error);
-          }();
-          if (!previous) {
-            *error = "cannot read " + rib_name(m - 1) + ": " + parse_error;
-            return false;
+        std::move(evolve_outputs), [this, m, months](std::string* error) {
+          std::optional<bgp::Rib> rib;
+          if (m == 0) {
+            const auto dump = universe_.mrt_dump_at(0);
+            if (!write_mrt(rib_name(0), dump, error)) return false;
+            rib = bgp::Rib::from_mrt(dump);
+          } else {
+            {
+              const obs::ScopedSpan span("evolve.read_rib", "phase");
+              MonthContext& previous = month_context(m - 1);
+              {
+                const std::lock_guard<std::mutex> lock(previous.mutex);
+                rib = std::exchange(previous.rib, std::nullopt);
+              }
+              if (!rib) {
+                std::string parse_error;
+                const auto records = mrt::read_file(abs(rib_name(m - 1)), &parse_error);
+                if (!records) {
+                  *error = "cannot read " + rib_name(m - 1) + ": " + parse_error;
+                  return false;
+                }
+                rib = bgp::Rib::from_mrt(*records);
+              }
+            }
+            const auto updates = universe_.bgp4mp_updates_at(m);
+            {
+              const obs::ScopedSpan span("evolve.replay", "phase");
+              rib->apply_updates(updates);
+            }
+            const obs::ScopedSpan span("evolve.write", "phase");
+            if (!write_mrt(updates_name(m), updates, error) ||
+                !write_mrt(rib_name(m), rib->to_mrt(), error)) {
+              return false;
+            }
           }
-          const auto updates = universe_.bgp4mp_updates_at(m);
-          const bgp::Rib rib = [&] {
-            const obs::ScopedSpan span("evolve.replay", "phase");
-            bgp::Rib replayed = bgp::Rib::from_mrt(*previous);
-            replayed.apply_updates(updates);
-            return replayed;
-          }();
-          const obs::ScopedSpan span("evolve.write", "phase");
-          return write_mrt(updates_name(m), updates, error) &&
-                 write_mrt(rib_name(m), rib.to_mrt(), error);
+          // The files are durable: hand the prefixes to corpus[m] and the
+          // RIB to evolve[m+1].
+          std::vector<Prefix> announced = rib->prefixes();
+          MonthContext& context = month_context(m);
+          const std::lock_guard<std::mutex> lock(context.mutex);
+          context.announced = std::move(announced);
+          if (m + 1 < months) context.rib = std::move(rib);
+          return true;
         });
 
     export_ids[m] = add_stage(
@@ -467,7 +513,7 @@ void Runner::build_graph() {
         [this, m](std::string* error) {
           const std::string path = abs(snapshot_name(m));
           const std::string tmp = path + ".tmp";
-          const auto snapshot = [&] {
+          auto snapshot = [&] {
             const obs::ScopedSpan span("export.render", "phase");
             return universe_.snapshot_at(m);
           }();
@@ -478,7 +524,12 @@ void Runner::build_graph() {
               return false;
             }
           }
-          return finalize_output(tmp, path, error);
+          if (!finalize_output(tmp, path, error)) return false;
+          // The file is durable: hand the snapshot to corpus[m].
+          MonthContext& context = month_context(m);
+          const std::lock_guard<std::mutex> lock(context.mutex);
+          context.snapshot = std::move(snapshot);
+          return true;
         });
 
     corpus_ids[m] = add_stage(
@@ -521,14 +572,31 @@ void Runner::build_graph() {
           if (!pairs) return false;
           const core::SpTunerMs tuner(*corpus,
                                       {config_.v4_threshold, config_.v6_threshold});
-          const bool ok = write_pairs(list_name(m), tuner.tune_all(*pairs).pairs, error);
-          // Last corpus consumer of the month: release the in-memory
-          // corpus so resident memory tracks months in flight.
-          const std::lock_guard<std::mutex> lock(
-              months_[static_cast<std::size_t>(m)]->mutex);
-          months_[static_cast<std::size_t>(m)]->corpus.reset();
-          return ok;
+          return write_pairs(list_name(m), tuner.tune_all(*pairs).pairs, error);
         });
+
+    // Each slot is emptied when its consumer ends, whatever its status, so
+    // resident memory tracks the months in flight: a cached, failed or
+    // skipped consumer never takes its slot. sptuner[m] is the corpus's
+    // last consumer.
+    if (m > 0) {
+      release_["evolve[" + d + "]"] = [this, m] {
+        MonthContext& context = month_context(m - 1);
+        const std::lock_guard<std::mutex> lock(context.mutex);
+        context.rib.reset();
+      };
+    }
+    release_["corpus[" + d + "]"] = [this, m] {
+      MonthContext& context = month_context(m);
+      const std::lock_guard<std::mutex> lock(context.mutex);
+      context.announced.reset();
+      context.snapshot.reset();
+    };
+    release_["sptuner[" + d + "]"] = [this, m] {
+      MonthContext& context = month_context(m);
+      const std::lock_guard<std::mutex> lock(context.mutex);
+      context.corpus.reset();
+    };
 
     sibdb_ids[m] = add_stage(
         "sibdb[" + d + "]", {tuner_ids[m]}, sibdb_hash, {sibdb_name(m)},

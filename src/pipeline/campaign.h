@@ -4,14 +4,17 @@
 // Per month m (dated d):
 //
 //   evolve[d]   month-0: full synthetic TABLE_DUMP_V2 dump; month-m:
-//               parse the month-(m-1) RIB artifact, replay that month's
-//               BGP4MP updates, export the evolved RIB (bgp::Rib::to_mrt)
+//               replay that month's BGP4MP updates onto the RIB that
+//               evolve[m-1] left in memory (or, when evolve[m-1] did not
+//               run in this process, onto the RIB read from its
+//               rib-<d'>.mrt), export the evolved RIB (bgp::Rib::to_mrt)
 //               → rib-<d>.mrt (+ updates-<d>.mrt). Depends on
 //               evolve[m-1]: the cross-month chain of the DAG.
 //   export[d]   resolution snapshot CSV → snapshot-<d>.csv
-//   corpus[d]   rib + snapshot files → DualStackCorpus (kept in memory
-//               for the month's detect/sptuner stages) + corpus-<d>.txt
-//               stats marker
+//   corpus[d]   the snapshot export[d] rendered and the prefixes evolve[d]
+//               announced (or the snapshot/rib files they wrote) →
+//               DualStackCorpus (kept in memory for the month's
+//               detect/sptuner stages) + corpus-<d>.txt stats marker
 //   detect[d]   sibling pair detection → pairs-<d>.csv: the exact scan
 //               over the month's own corpus, on one thread
 //   sptuner[d]  SP-Tuner-MS refinement → the published list
@@ -38,11 +41,20 @@
 // a changed threshold re-runs only the sptuner→…→longitudinal cone while
 // the detection cone stays cached.
 //
-// A skipped corpus stage does not rebuild its in-memory corpus; if a
-// downstream stage of that month does run, it lazily re-materializes the
-// corpus from the (checkpoint-verified) rib/snapshot artifacts. The
-// corpus is dropped once the month's sptuner stage — its last consumer —
-// completes, bounding resident memory to the months in flight.
+// In-memory hand-offs: once a producer's files are durable it leaves
+// what it built for its one consumer, in a per-month slot — evolve[m]
+// its RIB for evolve[m+1] and its announced prefixes for corpus[m],
+// export[m] its snapshot for corpus[m]. The files stay the checkpoint,
+// the resume source and the published artifacts: every stage writes,
+// fsyncs and hashes exactly what it would without the slots. A slot is
+// empty when its producer was cached or ran in an earlier process; the
+// consumer then loads the producer's file. A cached corpus stage builds
+// no corpus; if a downstream stage of that month does run, it lazily
+// re-materializes the corpus from the (checkpoint-verified) rib/snapshot
+// artifacts. Each slot, and the month's corpus, is dropped once its last
+// consumer (the corpus's is sptuner[m]) reaches any terminal status —
+// done, cached, failed or skipped — bounding resident memory to the
+// months in flight.
 //
 // The synthetic universe is rebuilt at the start of every run (it is a
 // pure function of the synth config and is not serialized); checkpoints

@@ -3,8 +3,9 @@
 // enough to execute real reload churn, corrupt swaps and client
 // misbehavior, then audited for every invariant the long-form sp_soak
 // checks (liveness, corrupt-swap rejection, per-generation query
-// conservation, byte-correct final sweep). Short enough for tier-1;
-// scripts/tier1.sh runs the same driver for 45+ seconds under ASan, and
+// conservation, probe answers checked against the oracle of the
+// generation that gave them, byte-correct final sweep). Short enough for
+// tier-1; scripts/tier1.sh runs the same driver for 45+ seconds under ASan, and
 // the TSan pass runs this test to race-check the whole serving stack.
 #include "chaos/soak.h"
 
@@ -47,7 +48,10 @@ TEST(ChaosSoak, SmokeSoakHoldsEveryInvariant) {
   // tallied in exactly one generation (live, retired, or compacted).
   EXPECT_EQ(report.generation_query_sum, report.server_queries);
 
-  // The final sweep compared every fixture key against the oracle.
+  // The probes' answers matched the oracle of the generation that gave
+  // them, and the final sweep compared every fixture key against it.
+  EXPECT_GT(report.probe_keys_checked, 0u);
+  EXPECT_EQ(report.probe_mismatches, 0u);
   EXPECT_GT(report.sweep_keys, 0u);
   EXPECT_EQ(report.sweep_mismatches, 0u);
 }

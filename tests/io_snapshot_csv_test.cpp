@@ -64,6 +64,36 @@ TEST(SnapshotCsv, RoundTrips) {
   std::remove(path.c_str());
 }
 
+TEST(SnapshotCsv, CampaignMonthsRoundTripExactly) {
+  // A campaign month's corpus stage builds from the snapshot its export
+  // stage rendered, or, on resume, from the snapshot-<date>.csv it wrote:
+  // the two must hold the same rows in the same order.
+  synth::SynthConfig config;
+  config.organization_count = 200;
+  config.months = 6;
+  const synth::SyntheticInternet universe(config);
+  const std::string path = ::testing::TempDir() + "/sp_snapshot_campaign_month.csv";
+  for (int month = 0; month < universe.month_count(); ++month) {
+    const dns::ResolutionSnapshot rendered = universe.snapshot_at(month);
+    ASSERT_TRUE(write_snapshot_csv(path, rendered));
+    const auto back = read_snapshot_csv(path);
+    ASSERT_TRUE(back.has_value()) << "month " << month;
+    EXPECT_EQ(back->date(), rendered.date()) << "month " << month;
+    ASSERT_EQ(back->domain_count(), rendered.domain_count()) << "month " << month;
+    ASSERT_GT(rendered.dual_stack_count(), 0u) << "month " << month;
+    for (std::size_t i = 0; i < rendered.domain_count(); ++i) {
+      const dns::DomainResolution& want = rendered.entries()[i];
+      const dns::DomainResolution& got = back->entries()[i];
+      ASSERT_EQ(got.queried.text(), want.queried.text()) << "month " << month << " row " << i;
+      ASSERT_EQ(got.response_name.text(), want.response_name.text())
+          << "month " << month << " row " << i;
+      ASSERT_EQ(got.v4, want.v4) << "month " << month << " row " << i;
+      ASSERT_EQ(got.v6, want.v6) << "month " << month << " row " << i;
+    }
+  }
+  std::remove(path.c_str());
+}
+
 TEST(SnapshotCsv, RejectsMalformedFiles) {
   const std::string path = ::testing::TempDir() + "/sp_snapshot_bad.csv";
   // Missing date row.

@@ -5,11 +5,14 @@
 //    with the same config re-runs only unrecorded stages and converges to
 //    byte-identical artifacts and per-stage hashes;
 //  * a changed config knob invalidates exactly its downstream cone;
-//  * a corrupted artifact forces exactly that stage to re-run.
+//  * a corrupted artifact forces exactly that stage to re-run;
+//  * a stage whose producer is cached loads the producer's file in place
+//    of the in-memory hand-off, to the same bytes.
 // Plus unit coverage of the manifest JSON codec and the checkpoint
 // primitives the contract rests on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -180,6 +183,58 @@ TEST(PipelineResume, CorruptedArtifactRerunsExactlyThatStage) {
   const RunManifest after = load_manifest(dir);
   expect_same_hashes(before, after);
   EXPECT_EQ(after.find(detect->name)->status, "done");
+}
+
+// A month's stages hand the RIB, its prefixes and the snapshot to each
+// other in memory; when a producer is cached its consumer reads the file
+// instead. Deleted artifacts make a resume run each mix of the two, and
+// the resume must write the deleted bytes again.
+TEST(PipelineResume, ConsumersOfCachedProducersReadTheirFiles) {
+  const std::string dir = fresh_dir("sp_campaign_handoff");
+  const auto report = Campaign(small_config(dir)).run(/*resume=*/false);
+  ASSERT_TRUE(report.ok) << report.error;
+  const RunManifest before = load_manifest(dir);
+  // The manifest lists stages in completion order; dated file names sort
+  // by month.
+  const auto output_of = [&before](const std::string& kind, std::size_t month) {
+    std::vector<std::string> outputs;
+    for (const StageRecord& stage : before.stages) {
+      if (stage.name.rfind(kind + "[", 0) == 0) outputs.push_back(stage.outputs.back().path);
+    }
+    std::sort(outputs.begin(), outputs.end());
+    EXPECT_GT(outputs.size(), month) << kind;
+    return outputs.at(month);
+  };
+  // Every month's corpus and detect stages re-run, so each month builds a
+  // corpus and detects on it:
+  //   month 0: the RIB prefixes and the snapshot both come from files;
+  //   month 1: export re-runs and hands over its snapshot, while the
+  //            prefixes come from rib-<month 1>.mrt;
+  //   month 2: evolve re-runs with evolve[1] cached, so it replays onto
+  //            the RIB it reads from rib-<month 1>.mrt, and hands over
+  //            its prefixes, while the snapshot comes from its file.
+  std::vector<std::string> deleted = {output_of("export", 1), output_of("evolve", 2)};
+  for (std::size_t month = 0; month < 3; ++month) {
+    deleted.push_back(output_of("corpus", month));
+    deleted.push_back(output_of("detect", month));
+  }
+  std::map<std::string, std::string> lost;
+  for (const std::string& rel : deleted) {
+    lost[rel] = read_file(dir + "/" + rel);
+    ASSERT_TRUE(std::filesystem::remove(dir + "/" + rel)) << rel;
+  }
+
+  const auto resumed = Campaign(small_config(dir)).run(/*resume=*/true);
+  ASSERT_TRUE(resumed.ok) << resumed.error;
+  EXPECT_EQ(resumed.done_count, deleted.size());
+  const RunManifest after = load_manifest(dir);
+  for (const StageRecord& stage : after.stages) {
+    bool lost_output = false;
+    for (const OutputRecord& output : stage.outputs) lost_output |= lost.count(output.path) != 0;
+    EXPECT_EQ(stage.status, lost_output ? "done" : "cached") << stage.name;
+  }
+  expect_same_hashes(before, after);
+  for (const auto& [rel, bytes] : lost) EXPECT_EQ(read_file(dir + "/" + rel), bytes) << rel;
 }
 
 // resume rebuilds the campaign from the manifest's config block, so every

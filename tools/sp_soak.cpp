@@ -5,8 +5,9 @@
 //   sp_soak --dir /tmp/soak --seconds 60 --connect 127.0.0.1:4647
 //
 // Default mode owns an in-process sp::net::Server and checks the full
-// invariant set (liveness, corrupt-swap rejection, per-generation query
-// conservation, byte-correct final sweep, RSS/p99 bounds). --connect
+// invariant set (liveness, corrupt-swap rejection, probe answers against
+// the oracle of their generation, per-generation query conservation,
+// byte-correct final sweep, RSS/p99 bounds). --connect
 // points the same seeded schedule at an already-listening sp_serve
 // (started with --listen); process-local checks are skipped, and the
 // target must be able to read --dir (the reload fixtures live there).
@@ -104,7 +105,8 @@ int main(int argc, char** argv) {
   } else {
     std::printf("soak %s: %llu events (%llu bursts, %llu reloads, %llu delta, "
                 "%llu corrupt rejected, %llu faults), %llu client queries, "
-                "sweep %llu keys / %llu mismatches, p99 %.1fus, peak RSS %ld kB\n",
+                "probes %llu keys / %llu mismatches, sweep %llu keys / %llu mismatches, "
+                "p99 %.1fus, peak RSS %ld kB\n",
                 report.ok ? "OK" : "FAILED",
                 static_cast<unsigned long long>(report.events),
                 static_cast<unsigned long long>(report.query_events),
@@ -113,6 +115,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(report.corrupt_reloads),
                 static_cast<unsigned long long>(report.fault_events),
                 static_cast<unsigned long long>(report.client_queries),
+                static_cast<unsigned long long>(report.probe_keys_checked),
+                static_cast<unsigned long long>(report.probe_mismatches),
                 static_cast<unsigned long long>(report.sweep_keys),
                 static_cast<unsigned long long>(report.sweep_mismatches),
                 report.p99_us, report.peak_rss_kb);
