@@ -9,7 +9,9 @@
 #
 # Only the listed test binaries are built; the figure benches and
 # examples need no instrumentation. A tree that is already configured
-# (CI configures it from its preset) keeps its generator and build type.
+# (CI configures it from its preset) keeps its generator and build type;
+# a fresh one is configured with Ninja when it is installed, because a
+# Unix Makefiles tree builds the listed targets one after another.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -37,6 +39,13 @@ case "${1:-}" in
     # hot-reloads against concurrent sp_serve queries. The chaos soak
     # suite races the entire serving stack at once: probe threads checking
     # answers, fault injection, RELOAD churn.
+    #
+    # TSan is also the run-time lock-order check: a cycle in the order in
+    # which the suites take their mutexes is reported as a
+    # lock-order-inversion and fails the test, even on one thread and
+    # even when nothing deadlocked. detect_deadlocks=1 is TSan's default,
+    # written out here so the suite says what it checks.
+    export TSAN_OPTIONS="${TSAN_OPTIONS:+$TSAN_OPTIONS }detect_deadlocks=1"
     SANITIZE=thread
     TARGETS=(core_detect_parallel_test core_sptuner_parallel_test
       serve_lookup_test serve_service_test
@@ -96,6 +105,10 @@ case "${1:-}" in
     ;;
 esac
 
-cmake -B "$BUILD" -S . -DSP_SANITIZE="$SANITIZE"
+GENERATOR=()
+if [[ ! -f "$BUILD/CMakeCache.txt" ]] && command -v ninja > /dev/null; then
+  GENERATOR=(-G Ninja)
+fi
+cmake -B "$BUILD" -S . "${GENERATOR[@]}" -DSP_SANITIZE="$SANITIZE"
 cmake --build "$BUILD" -j "$JOBS" --target "${TARGETS[@]}"
 (cd "$BUILD" && ctest --output-on-failure -j "$JOBS" -R "$FILTER")

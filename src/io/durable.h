@@ -4,14 +4,13 @@
 // rename() alone is atomic with respect to readers but not with respect
 // to power loss: until the parent directory's metadata reaches disk, a
 // crash can roll the directory entry back to the old file — or to no
-// file at all for a first write. The pipeline checkpoints got this right
-// from the start (pipeline/checkpoint.cpp); this header factors the
-// sequence out so the delta log's .sibdb publication (stream/spdl.cpp)
-// and any future writer share one audited implementation instead of
-// re-deriving it.
+// file at all for a first write. The campaign's artifacts and manifest
+// (pipeline/) and the delta log's .sibdb publication (stream/spdl.cpp)
+// all publish through this one audited implementation.
 #pragma once
 
 #include <string>
+#include <string_view>
 
 namespace sp::io {
 
@@ -26,5 +25,11 @@ namespace sp::io {
 /// with a reason in `error` (may be null).
 [[nodiscard]] bool durable_rename(const std::string& tmp_path, const std::string& path,
                                   std::string* error);
+
+/// Writes `bytes` to `path + ".tmp"` and publishes it as `path` with the
+/// same fsync, rename and directory fsync. On failure the temp file is
+/// removed. Returns false with a reason in `error` (may be null).
+[[nodiscard]] bool atomic_write_file(const std::string& path, std::string_view bytes,
+                                     std::string* error);
 
 }  // namespace sp::io

@@ -31,10 +31,11 @@
 //                   must not contain `using namespace` at any scope.
 //   lock-order      Every std::mutex-family member declaration carries a
 //                   `// lock-order: <rank> <name>` annotation naming its
-//                   place in the project lock hierarchy — the static
-//                   half of lint::LockOrderRegistry (lock_order.h). The
-//                   ranks themselves are verified by the cross-file
-//                   `lock-rank` pass (semantic.h).
+//                   place in the project lock hierarchy. The ranks
+//                   themselves are verified by the cross-file
+//                   `lock-rank` pass (semantic.h); at run time,
+//                   ThreadSanitizer reports inversions on the threaded
+//                   suites.
 //
 // Suppressions: `// sp-lint: <rule>-ok(<reason>)` on the finding's line
 // or the line above suppresses one rule there; a file-scoped

@@ -11,7 +11,6 @@
 #include <cstring>
 #include <unordered_map>
 
-#include "lint/lock_order.h"
 #include "stream/reload.h"
 
 namespace sp::net {
@@ -260,7 +259,6 @@ void Server::adopt_inbox(Worker& worker) {
   std::vector<int> adopted;
   {
     std::lock_guard lock(worker.inbox_mutex_);
-    [[maybe_unused]] const lint::LockOrderScope held("net.server.inbox_mutex");
     adopted.swap(worker.inbox_);
   }
   const auto now = std::chrono::steady_clock::now();
@@ -321,7 +319,6 @@ void Server::accept_ready(Worker& worker) {
     Worker& owner = *workers_[target];
     {
       std::lock_guard lock(owner.inbox_mutex_);
-      [[maybe_unused]] const lint::LockOrderScope held("net.server.inbox_mutex");
       owner.inbox_.push_back(fd);
     }
     if (target == worker.id) {

@@ -3,6 +3,8 @@
 #include <charconv>
 #include <stdexcept>
 
+#include "netbase/fnv.h"
+
 namespace sp {
 
 namespace {
@@ -40,12 +42,7 @@ std::string_view family_name(Family family) noexcept {
 }
 
 std::size_t hash_bytes(const std::uint8_t* data, std::size_t size, std::size_t seed) noexcept {
-  std::size_t hash = 14695981039346656037ull ^ seed;
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= data[i];
-    hash *= 1099511628211ull;
-  }
-  return hash;
+  return fnv1a64(data, size, kFnvBasis ^ seed);
 }
 
 bool is_reserved(const IPv4Address& address) noexcept {

@@ -20,6 +20,7 @@
 #include "core/sibling_diff.h"
 #include "core/sibling_list_io.h"
 #include "core/sptuner.h"
+#include "io/durable.h"
 #include "io/snapshot_csv.h"
 #include "mrt/file.h"
 #include "obs/trace.h"
@@ -206,10 +207,29 @@ class Runner {
   void build_graph();
   void on_stage_result(const StageResult& result);
 
+  /// Publishes the artifact `rel`: `write(tmp)` fills `<rel>.tmp`, which
+  /// io::durable_rename then fsyncs and renames into place.
+  template <typename Write>
+  [[nodiscard]] bool write_artifact(const std::string& rel, Write write, std::string* error) {
+    const std::string path = abs(rel);
+    const std::string tmp = path + ".tmp";
+    if (!write(tmp)) {
+      *error = "cannot write " + tmp;
+      return false;
+    }
+    return io::durable_rename(tmp, path, error);
+  }
   [[nodiscard]] bool write_mrt(const std::string& rel, std::span<const mrt::MrtRecord> records,
-                               std::string* error);
+                               std::string* error) {
+    return write_artifact(
+        rel, [&](const std::string& tmp) { return mrt::write_file(tmp, records); }, error);
+  }
   [[nodiscard]] bool write_pairs(const std::string& rel,
-                                 std::span<const core::SiblingPair> pairs, std::string* error);
+                                 std::span<const core::SiblingPair> pairs, std::string* error) {
+    return write_artifact(
+        rel, [&](const std::string& tmp) { return core::write_sibling_list(tmp, pairs); },
+        error);
+  }
   [[nodiscard]] std::optional<std::vector<core::SiblingPair>> read_pairs(
       const std::string& rel, std::string* error);
   [[nodiscard]] std::shared_ptr<const core::DualStackCorpus> corpus_for(int month,
@@ -369,28 +389,6 @@ void Runner::on_stage_result(const StageResult& result) {
   if (user_observer_) user_observer_(result);
 }
 
-bool Runner::write_mrt(const std::string& rel, std::span<const mrt::MrtRecord> records,
-                       std::string* error) {
-  const std::string path = abs(rel);
-  const std::string tmp = path + ".tmp";
-  if (!mrt::write_file(tmp, records)) {
-    *error = "cannot write " + tmp;
-    return false;
-  }
-  return finalize_output(tmp, path, error);
-}
-
-bool Runner::write_pairs(const std::string& rel, std::span<const core::SiblingPair> pairs,
-                         std::string* error) {
-  const std::string path = abs(rel);
-  const std::string tmp = path + ".tmp";
-  if (!core::write_sibling_list(tmp, pairs)) {
-    *error = "cannot write " + tmp;
-    return false;
-  }
-  return finalize_output(tmp, path, error);
-}
-
 std::optional<std::vector<core::SiblingPair>> Runner::read_pairs(const std::string& rel,
                                                                  std::string* error) {
   core::SiblingListError list_error;
@@ -511,20 +509,15 @@ void Runner::build_graph() {
     export_ids[m] = add_stage(
         "export[" + d + "]", {evolve_ids[m]}, synth_hash, {snapshot_name(m)},
         [this, m](std::string* error) {
-          const std::string path = abs(snapshot_name(m));
-          const std::string tmp = path + ".tmp";
           auto snapshot = [&] {
             const obs::ScopedSpan span("export.render", "phase");
             return universe_.snapshot_at(m);
           }();
-          {
+          const auto write_csv = [&](const std::string& tmp) {
             const obs::ScopedSpan span("export.write_csv", "phase");
-            if (!io::write_snapshot_csv(tmp, snapshot)) {
-              *error = "cannot write " + tmp;
-              return false;
-            }
-          }
-          if (!finalize_output(tmp, path, error)) return false;
+            return io::write_snapshot_csv(tmp, snapshot);
+          };
+          if (!write_artifact(snapshot_name(m), write_csv, error)) return false;
           // The file is durable: hand the snapshot to corpus[m].
           MonthContext& context = month_context(m);
           const std::lock_guard<std::mutex> lock(context.mutex);
@@ -548,7 +541,7 @@ void Runner::build_graph() {
           text += "v4_hosts," + std::to_string(stats.v4_hosts) + "\n";
           text += "v6_hosts," + std::to_string(stats.v6_hosts) + "\n";
           text += "host_domain_edges," + std::to_string(stats.host_domain_edges) + "\n";
-          return atomic_write_file(abs(corpus_name(m)), text, error);
+          return io::atomic_write_file(abs(corpus_name(m)), text, error);
         });
 
     // One thread per detect stage: the DAG runs several months at once.
@@ -603,16 +596,13 @@ void Runner::build_graph() {
         [this, m](std::string* error) {
           const auto pairs = read_pairs(list_name(m), error);
           if (!pairs) return false;
-          const std::string path = abs(sibdb_name(m));
-          const std::string tmp = path + ".tmp";
           // The relative CSV name as provenance label keeps .sibdb bytes
           // independent of the run directory (the resume test's
           // byte-identity contract).
-          if (!serve::write_sibdb(tmp, *pairs, list_name(m))) {
-            *error = "cannot write " + tmp;
-            return false;
-          }
-          return finalize_output(tmp, path, error);
+          return write_artifact(
+              sibdb_name(m),
+              [&](const std::string& tmp) { return serve::write_sibdb(tmp, *pairs, list_name(m)); },
+              error);
         });
 
     if (m > 0) {
@@ -644,16 +634,11 @@ void Runner::build_graph() {
                     return stream::diff_sibdb(*base, *target, error);
                   }();
                   if (!delta) return false;
-                  const std::string path = abs(delta_name(m));
-                  const std::string tmp = path + ".tmp";
-                  {
+                  const auto write_spdl = [&](const std::string& tmp) {
                     const obs::ScopedSpan span("sibdelta.write", "phase");
-                    if (!stream::write_spdl(tmp, *delta)) {
-                      *error = "cannot write " + tmp;
-                      return false;
-                    }
-                  }
-                  return finalize_output(tmp, path, error);
+                    return stream::write_spdl(tmp, *delta);
+                  };
+                  return write_artifact(delta_name(m), write_spdl, error);
                 });
 
       diff_ids.push_back(add_stage(
@@ -669,7 +654,7 @@ void Runner::build_graph() {
             text += "removed," + std::to_string(diff.removed.size()) + "\n";
             text += "changed," + std::to_string(diff.changed.size()) + "\n";
             text += "unchanged," + std::to_string(diff.unchanged.size()) + "\n";
-            return atomic_write_file(abs(diff_name(m)), text, error);
+            return io::atomic_write_file(abs(diff_name(m)), text, error);
           }));
     }
   }
@@ -705,7 +690,7 @@ void Runner::build_graph() {
                 }
                 previous = std::move(*pairs);
               }
-              return atomic_write_file(abs("longitudinal.csv"), text, error);
+              return io::atomic_write_file(abs("longitudinal.csv"), text, error);
             });
 }
 

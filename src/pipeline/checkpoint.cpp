@@ -1,24 +1,9 @@
 #include "pipeline/checkpoint.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <vector>
 
-#include "io/durable.h"
-
 namespace sp::pipeline {
-
-namespace {
-
-void fail(std::string* error, const std::string& what) {
-  if (error != nullptr) *error = what + ": " + std::strerror(errno);
-}
-
-}  // namespace
 
 std::optional<std::uint64_t> hash_file(const std::string& path) {
   std::FILE* file = std::fopen(path.c_str(), "rb");
@@ -55,44 +40,6 @@ std::optional<std::uint64_t> parse_hash_hex(std::string_view text) {
     }
   }
   return value;
-}
-
-bool atomic_write_file(const std::string& path, std::string_view bytes, std::string* error) {
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    fail(error, "open " + tmp);
-    return false;
-  }
-  std::size_t written = 0;
-  while (written < bytes.size()) {
-    const ssize_t got = ::write(fd, bytes.data() + written, bytes.size() - written);
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      fail(error, "write " + tmp);
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return false;
-    }
-    written += static_cast<std::size_t>(got);
-  }
-  if (::fsync(fd) != 0) {
-    fail(error, "fsync " + tmp);
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return false;
-  }
-  ::close(fd);
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    fail(error, "rename " + tmp + " -> " + path);
-    ::unlink(tmp.c_str());
-    return false;
-  }
-  return io::sync_parent_dir(path, error);
-}
-
-bool finalize_output(const std::string& tmp_path, const std::string& path, std::string* error) {
-  return io::durable_rename(tmp_path, path, error);
 }
 
 }  // namespace sp::pipeline

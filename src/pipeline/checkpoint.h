@@ -15,10 +15,11 @@
 // artifact, or a corrupted/truncated output file forces a re-run of
 // exactly the affected downstream cone.
 //
-// Durability: outputs are written through atomic_write_file / finalized
-// via fsync+rename, so a kill at any instant leaves either the old bytes,
-// no file, or the complete new bytes — never a torn artifact that a
-// recorded hash could false-positively match after page-cache loss.
+// Durability: outputs are published through io::atomic_write_file or
+// io::durable_rename (fsync, rename, fsync of the directory), so a kill
+// at any instant leaves either the old bytes, no file, or the complete
+// new bytes — never a torn artifact that a recorded hash could
+// false-positively match after page-cache loss.
 #pragma once
 
 #include <cstdint>
@@ -26,30 +27,9 @@
 #include <string>
 #include <string_view>
 
+#include "netbase/fnv.h"
+
 namespace sp::pipeline {
-
-inline constexpr std::uint64_t kFnvBasis = 0xCBF29CE484222325ull;
-inline constexpr std::uint64_t kFnvPrime = 0x100000001B3ull;
-
-/// FNV-1a64 over a byte string, chainable via `hash`.
-[[nodiscard]] constexpr std::uint64_t fnv1a64(std::string_view bytes,
-                                              std::uint64_t hash = kFnvBasis) noexcept {
-  for (const char byte : bytes) {
-    hash ^= static_cast<std::uint8_t>(byte);
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
-
-/// Folds a 64-bit value into a running FNV-1a64 hash (little-endian bytes).
-[[nodiscard]] constexpr std::uint64_t fnv1a64_mix(std::uint64_t value,
-                                                  std::uint64_t hash) noexcept {
-  for (int i = 0; i < 8; ++i) {
-    hash ^= (value >> (i * 8)) & 0xFF;
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
 
 /// FNV-1a64 of a file's full contents; nullopt when the file cannot be
 /// read (missing output ⇒ checkpoint invalid).
@@ -59,19 +39,5 @@ inline constexpr std::uint64_t kFnvPrime = 0x100000001B3ull;
 /// strings: 64-bit values do not survive double-precision JSON numbers).
 [[nodiscard]] std::string hash_hex(std::uint64_t value);
 [[nodiscard]] std::optional<std::uint64_t> parse_hash_hex(std::string_view text);
-
-/// Durable atomic file write: the bytes land in `path + ".tmp"`, are
-/// fsync'd, and replace `path` via rename(2); the containing directory is
-/// fsync'd so the rename itself survives a crash. Returns false (reason
-/// in `error`) on any syscall failure.
-[[nodiscard]] bool atomic_write_file(const std::string& path, std::string_view bytes,
-                                     std::string* error = nullptr);
-
-/// Durable atomic publish of an already-written temp file: fsync(tmp),
-/// rename(tmp → path), fsync(dir). For writers that stream to a path
-/// themselves (mrt::write_file, write_snapshot_csv, convert_sibling_list):
-/// point them at `path + ".tmp"`, then finalize.
-[[nodiscard]] bool finalize_output(const std::string& tmp_path, const std::string& path,
-                                   std::string* error = nullptr);
 
 }  // namespace sp::pipeline

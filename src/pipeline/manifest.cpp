@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "io/durable.h"
 #include "pipeline/checkpoint.h"
 
 namespace sp::pipeline {
@@ -318,7 +319,7 @@ std::optional<RunManifest> RunManifest::from_json(std::string_view text, std::st
 }
 
 bool RunManifest::save(const std::string& path, std::string* error) const {
-  return atomic_write_file(path, to_json(), error);
+  return io::atomic_write_file(path, to_json(), error);
 }
 
 std::optional<RunManifest> RunManifest::load(const std::string& path, std::string* error) {

@@ -5,15 +5,10 @@
 #include <stdexcept>
 #include <utility>
 
-#include "lint/lock_order.h"
 #include "obs/rss.h"
 #include "obs/trace.h"
 
 namespace sp::pipeline {
-
-namespace {
-constexpr const char* kMutexName = "pipeline.stage_graph.mutex";
-}  // namespace
 
 std::string_view to_string(StageStatus status) noexcept {
   switch (status) {
@@ -131,7 +126,6 @@ void StageGraph::drain(const obs::Histogram& stage_wait_us) {
     Clock::time_point ready_at;
     {
       std::unique_lock lock(mutex_);
-      [[maybe_unused]] const lint::LockOrderScope held(kMutexName);
       // The previous stage's dependents become ready only here, after its
       // observers ran, so the manifest records every stage before any of
       // its dependents can complete.
@@ -177,7 +171,6 @@ void StageGraph::drain(const obs::Histogram& stage_wait_us) {
     std::vector<StageResult> observed;
     {
       std::lock_guard lock(mutex_);
-      [[maybe_unused]] const lint::LockOrderScope held(kMutexName);
       std::vector<StageId> finalized;
       finish(id, status, std::move(error), wall_ms, rss_kb, newly_ready, finalized);
       if (finished_ == stages_.size()) ready_cv_.notify_all();
@@ -186,7 +179,6 @@ void StageGraph::drain(const obs::Histogram& stage_wait_us) {
     }
     if (observer_) {
       std::lock_guard lock(observer_mutex_);
-      [[maybe_unused]] const lint::LockOrderScope held("pipeline.stage_graph.observer_mutex");
       for (const StageResult& result : observed) observer_(result);
     }
   }

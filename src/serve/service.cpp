@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "lint/lock_order.h"
-
 // sp-lint-file: atomics-ok(statistics counters; see the rationale in
 // service.h — relaxed is exact when quiesced and nothing orders on them)
 
@@ -33,7 +31,6 @@ bool SiblingService::load(const std::string& path, std::string* error) {
   std::shared_ptr<const Snapshot> outgoing;  // freed after the lock drops
   {
     std::lock_guard lock(current_mutex_);
-    [[maybe_unused]] const lint::LockOrderScope held("serve.service.current_mutex");
     // Numbered at publication, not at build start: concurrent loads then
     // go live in generation order whichever build finishes first.
     snapshot->generation = ++published_;
@@ -65,7 +62,6 @@ bool SiblingService::reload(std::string* error) {
 
 std::shared_ptr<const Snapshot> SiblingService::snapshot() const {
   std::lock_guard lock(current_mutex_);
-  [[maybe_unused]] const lint::LockOrderScope held("serve.service.current_mutex");
   return current_;
 }
 
@@ -107,7 +103,6 @@ BatchResult SiblingService::query_many(std::span<const IPAddress> addresses) {
   result.snapshot = snapshot();  // pin: the whole batch answers from here
   if (result.snapshot) {
     std::lock_guard lock(pool_mutex_);
-    [[maybe_unused]] const lint::LockOrderScope held("serve.service.pool_mutex");
     result.answers = result.snapshot->engine.query_many(addresses, &pool_);
   } else {
     result.answers.assign(addresses.size(), std::nullopt);
@@ -146,7 +141,6 @@ ServiceStats SiblingService::stats() const {
   out.batch_max_us = batch_hist.max;
 
   std::lock_guard lock(current_mutex_);
-  [[maybe_unused]] const lint::LockOrderScope held("serve.service.current_mutex");
   out.generations.reserve(retired_.size() + 1);
   for (const auto& tally : retired_) out.generations.push_back(tally->stats());
   if (current_) {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/sibling_list_io.h"
+#include "netbase/fnv.h"
 #include "obs/trace.h"
 
 namespace sp::serve {
@@ -45,23 +46,9 @@ struct Header {
 };
 static_assert(sizeof(Header) == kHeaderBytes, "sibdb header must stay 128 bytes");
 
-std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t size, std::uint64_t hash) {
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= data[i];
-    hash *= 0x100000001B3ull;
-  }
-  return hash;
-}
-
 /// Checksum of a whole file image with the header's checksum field zeroed.
 std::uint64_t file_checksum(const std::uint8_t* data, std::size_t size) {
-  constexpr std::uint64_t kBasis = 0xCBF29CE484222325ull;
-  const std::size_t checksum_offset = offsetof(Header, checksum);
-  std::uint64_t hash = fnv1a64(data, checksum_offset, kBasis);
-  const std::uint8_t zeros[sizeof(std::uint64_t)] = {};
-  hash = fnv1a64(zeros, sizeof zeros, hash);
-  return fnv1a64(data + checksum_offset + sizeof(std::uint64_t),
-                 size - checksum_offset - sizeof(std::uint64_t), hash);
+  return fnv1a64_zeroed_field(data, size, offsetof(Header, checksum));
 }
 
 constexpr std::uint64_t align8(std::uint64_t offset) { return (offset + 7) & ~std::uint64_t{7}; }

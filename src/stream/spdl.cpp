@@ -5,6 +5,7 @@
 #include <fstream>
 
 #include "io/durable.h"
+#include "netbase/fnv.h"
 
 namespace sp::stream {
 
@@ -38,23 +39,9 @@ struct Header {
 };
 static_assert(sizeof(Header) == kHeaderBytes, "spdl header must stay 112 bytes");
 
-std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t size, std::uint64_t hash) {
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= data[i];
-    hash *= 0x100000001B3ull;
-  }
-  return hash;
-}
-
 /// Checksum of a whole file image with the header's checksum field zeroed.
 std::uint64_t file_checksum(const std::uint8_t* data, std::size_t size) {
-  constexpr std::uint64_t kBasis = 0xCBF29CE484222325ull;
-  const std::size_t checksum_offset = offsetof(Header, checksum);
-  std::uint64_t hash = fnv1a64(data, checksum_offset, kBasis);
-  const std::uint8_t zeros[sizeof(std::uint64_t)] = {};
-  hash = fnv1a64(zeros, sizeof zeros, hash);
-  return fnv1a64(data + checksum_offset + sizeof(std::uint64_t),
-                 size - checksum_offset - sizeof(std::uint64_t), hash);
+  return fnv1a64_zeroed_field(data, size, offsetof(Header, checksum));
 }
 
 void fail(std::string* error, std::string_view reason) {
@@ -133,7 +120,7 @@ bool read_file_bytes(const std::string& path, std::vector<std::uint8_t>& out) {
 }  // namespace
 
 std::uint64_t sibdb_file_hash(std::span<const std::uint8_t> bytes) noexcept {
-  return fnv1a64(bytes.data(), bytes.size(), 0xCBF29CE484222325ull);
+  return fnv1a64(bytes.data(), bytes.size());
 }
 
 std::optional<SibdbDelta> diff_sibdb(const serve::SiblingDB& base, const serve::SiblingDB& target,

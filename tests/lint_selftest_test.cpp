@@ -140,7 +140,9 @@ TEST(LintSelftest, RealTreeLintsClean) {
   for (const Finding& finding : report.findings) {
     EXPECT_TRUE(finding.suppressed) << finding.file << ":" << finding.line << " ["
                                     << finding.rule << "] " << finding.message;
-    if (finding.suppressed) EXPECT_FALSE(finding.suppress_reason.empty());
+    if (finding.suppressed) {
+      EXPECT_FALSE(finding.suppress_reason.empty());
+    }
   }
 }
 

@@ -9,8 +9,10 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "lint/index.h"
@@ -70,6 +72,14 @@ TEST(LintSemantic, LockRankTransitiveInversionThroughOneCallFires) {
 
 TEST(LintSemantic, LockRankOrderedNestingIsClean) {
   EXPECT_TRUE(lint_fixture("lockrank_ok.h").empty());
+  // The clean verdict is not vacuous: the derivation sees the nesting.
+  const std::string path = kFixtureDir + "lockrank_ok.h";
+  sp::lint::ProjectIndex index;
+  index.add_file(path, sp::lint::tokenize(slurp(path)));
+  const auto graph = sp::lint::derive_lock_graph(index);
+  const std::set<std::pair<std::string, std::string>> expected_edges = {
+      {"fixtures.ordered.low", "fixtures.ordered.high"}};
+  EXPECT_EQ(graph.edges, expected_edges);
 }
 
 // ---------------------------------------------------------------------------
@@ -218,14 +228,19 @@ TEST(LintSemantic, RealTreeRankGraphMatchesDesignTable) {
   ASSERT_FALSE(documented.empty());
   EXPECT_EQ(graph.ranks, documented);  // zero disagreements, both directions
   // Every statically derived acquired-after edge goes strictly rank-up.
-  ASSERT_FALSE(graph.edges.empty());
   for (const auto& [from, to] : graph.edges) {
     ASSERT_TRUE(graph.ranks.count(from) == 1 && graph.ranks.count(to) == 1) << from << "→" << to;
     EXPECT_LT(graph.ranks.at(from), graph.ranks.at(to)) << from << "→" << to;
   }
-  // The derivation is not vacuous: holding the worker-pool mutex, the
-  // runtime lock-order registry's own mutex is acquired one call in.
-  EXPECT_TRUE(graph.edges.count({"core.worker_pool.mutex", "lint.lock_order.registry_mutex"}));
+  // The edges src/ derives today: none. The tree's two nestings are out
+  // of reach of one-level inlining: SiblingService::query_many takes the
+  // pool mutex (10 → 40) two calls deep, through LookupEngine::query_many,
+  // and the StageGraph observer takes the campaign's locks (31 → 35/36)
+  // through a std::function. ThreadSanitizer checks both on the threaded
+  // suites. A new one-call nesting fails here: check it against the §3.5
+  // table, then list it.
+  const std::set<std::pair<std::string, std::string>> expected_edges;
+  EXPECT_EQ(graph.edges, expected_edges);
 }
 
 TEST(LintSemantic, RealTreeSemanticPassesAndStaleAuditAreClean) {

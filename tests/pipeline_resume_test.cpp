@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "io/durable.h"
 #include "pipeline/campaign.h"
 #include "pipeline/checkpoint.h"
 #include "pipeline/manifest.h"
@@ -348,18 +349,18 @@ TEST(PipelineCheckpoint, AtomicWriteHashAndFinalize) {
   std::filesystem::create_directories(dir);
   const std::string path = dir + "/artifact.txt";
   std::string error;
-  ASSERT_TRUE(atomic_write_file(path, "hello checkpoint", &error)) << error;
+  ASSERT_TRUE(io::atomic_write_file(path, "hello checkpoint", &error)) << error;
   EXPECT_EQ(read_file(path), "hello checkpoint");
   EXPECT_EQ(hash_file(path), fnv1a64("hello checkpoint"));
   EXPECT_FALSE(hash_file(dir + "/missing").has_value());
 
-  // finalize_output publishes a streamed temp file under the final name.
+  // io::durable_rename publishes a streamed temp file under the final name.
   const std::string tmp = path + ".tmp";
   {
     std::ofstream out(tmp, std::ios::binary);
     out << "second version";
   }
-  ASSERT_TRUE(finalize_output(tmp, path, &error)) << error;
+  ASSERT_TRUE(io::durable_rename(tmp, path, &error)) << error;
   EXPECT_EQ(read_file(path), "second version");
   EXPECT_FALSE(std::filesystem::exists(tmp));
 }
