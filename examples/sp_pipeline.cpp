@@ -197,12 +197,20 @@ int run_campaign(pipeline::Campaign campaign, bool resume) {
   return report.ok ? 0 : 1;
 }
 
+/// Rejects a flag given as the last argument, with no value after it.
+bool has_value(int argc, char** argv, int i) {
+  if (i + 1 < argc) return true;
+  std::fprintf(stderr, "error: flag %s needs a value\n", argv[i]);
+  return false;
+}
+
 int campaign_run(int argc, char** argv) {
   pipeline::CampaignConfig config;
   config.out_dir = argv[2];
   config.synth.months = 6;
   config.synth.organization_count = 300;
-  for (int i = 3; i + 1 < argc; i += 2) {
+  for (int i = 3; i < argc; i += 2) {
+    if (!has_value(argc, argv, i)) return 2;
     const std::string flag = argv[i];
     const long value = std::strtol(argv[i + 1], nullptr, 10);
     if (flag == "--months") config.synth.months = static_cast<int>(value);
@@ -226,12 +234,16 @@ int campaign_resume(int argc, char** argv) {
   const std::string out_dir = argv[2];
   unsigned threads = 1;
   std::string trace_path;
-  for (int i = 3; i + 1 < argc; i += 2) {
+  for (int i = 3; i < argc; i += 2) {
+    if (!has_value(argc, argv, i)) return 2;
     const std::string flag = argv[i];
     if (flag == "--threads") {
       threads = static_cast<unsigned>(std::strtoul(argv[i + 1], nullptr, 10));
     } else if (flag == "--trace") {
       trace_path = argv[i + 1];
+    } else {
+      std::fprintf(stderr, "error: unknown flag %s\n", flag.c_str());
+      return 2;
     }
   }
   std::string error;

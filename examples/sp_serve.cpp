@@ -23,11 +23,15 @@
 //   STATS                print service counters
 //
 // Run: ./build/examples/sp_serve siblings.sibdb < queries.txt
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "net/server.h"
 #include "serve/service.h"
@@ -97,6 +101,15 @@ volatile std::sig_atomic_t g_stop = 0;
 
 void handle_stop_signal(int) { g_stop = 1; }
 
+/// A decimal number of at most `max`: digits only, no sign, no spaces.
+std::optional<unsigned long> parse_decimal(std::string_view text, unsigned long max) {
+  unsigned long value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, status] = std::from_chars(text.data(), end, value);
+  if (text.empty() || status != std::errc() || stop != end || value > max) return std::nullopt;
+  return value;
+}
+
 /// `sp_serve --listen host:port db [--workers N]`: TCP front-end until
 /// SIGINT/SIGTERM. The LISTENING line is the machine-readable contract
 /// tier1.sh and the CI smoke parse for the bound (possibly ephemeral)
@@ -112,13 +125,19 @@ int run_listen(int argc, char** argv) {
     return 2;
   }
   config.host = endpoint.substr(0, colon);
-  config.port = static_cast<std::uint16_t>(std::strtoul(endpoint.c_str() + colon + 1, nullptr, 10));
-  for (int i = 4; i < argc; ++i) {
-    if (std::string(argv[i]) == "--workers" && i + 1 < argc) {
-      config.workers = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
-    } else {
-      return usage();
-    }
+  // Port 0 asks for an ephemeral port.
+  const auto port = parse_decimal(std::string_view(endpoint).substr(colon + 1), 65535);
+  if (!port) {
+    std::fprintf(stderr, "--listen port must be 0-65535, got '%s'\n",
+                 endpoint.c_str() + colon + 1);
+    return usage();
+  }
+  config.port = static_cast<std::uint16_t>(*port);
+  for (int i = 4; i < argc; i += 2) {
+    if (std::string(argv[i]) != "--workers" || i + 1 >= argc) return usage();
+    const auto workers = parse_decimal(argv[i + 1], std::numeric_limits<unsigned>::max());
+    if (!workers) return usage();
+    config.workers = static_cast<unsigned>(*workers);
   }
 
   // One thread: the batch pool exists for query_many, which neither

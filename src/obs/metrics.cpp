@@ -43,17 +43,15 @@ double HistogramSnapshot::quantile(double p) const noexcept {
 
 HistogramSnapshot HistogramSnapshot::of(const Histogram& histogram) {
   HistogramSnapshot out;
-  if constexpr (kEnabled) {
-    const detail::HistogramCell* cell = histogram.cell_;
-    if (cell == nullptr) return out;
-    out.name = cell->name;
-    for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
-      out.buckets[b] = cell->buckets[b].load(std::memory_order_relaxed);
-      out.count += out.buckets[b];
-    }
-    out.sum = cell->sum.load(std::memory_order_relaxed);
-    out.max = cell->max.load(std::memory_order_relaxed);
+  const detail::HistogramCell* cell = histogram.cell_;
+  if (cell == nullptr) return out;
+  out.name = cell->name;
+  for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
+    out.buckets[b] = cell->buckets[b].load(std::memory_order_relaxed);
+    out.count += out.buckets[b];
   }
+  out.sum = cell->sum.load(std::memory_order_relaxed);
+  out.max = cell->max.load(std::memory_order_relaxed);
   return out;
 }
 
@@ -139,17 +137,14 @@ detail::CounterCell* MetricsRegistry::cell(std::string_view name, bool is_gauge)
 }
 
 Counter MetricsRegistry::counter(std::string_view name) {
-  if constexpr (!kEnabled) return Counter();
   return Counter(cell(name, /*is_gauge=*/false));
 }
 
 Gauge MetricsRegistry::gauge(std::string_view name) {
-  if constexpr (!kEnabled) return Gauge();
   return Gauge(cell(name, /*is_gauge=*/true));
 }
 
 Histogram MetricsRegistry::histogram(std::string_view name) {
-  if constexpr (!kEnabled) return Histogram();
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = histograms_by_name_.find(std::string(name));
   if (it != histograms_by_name_.end()) return Histogram(it->second);

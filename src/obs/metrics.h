@@ -22,11 +22,6 @@
 //     per metric at component construction, never per operation. Cells
 //     live in a std::deque so handles stay valid as the registry grows.
 //
-// When the build disables observability (-DSP_OBS_DISABLE=ON, which
-// defines SP_OBS_DISABLED), every handle operation is `if constexpr`'d
-// away and the compiler sees straight through to nothing — the
-// "compiled out" configuration for minimum-footprint deployments.
-//
 // Handles (Counter/Gauge/Histogram) are trivially copyable pointers into
 // registry-owned storage; they must not outlive their registry. The
 // process-wide registry from MetricsRegistry::global() lives forever, so
@@ -45,12 +40,6 @@
 #include <vector>
 
 namespace sp::obs {
-
-#ifdef SP_OBS_DISABLED
-inline constexpr bool kEnabled = false;
-#else
-inline constexpr bool kEnabled = true;
-#endif
 
 /// Shards per counter/gauge; a small power of two — enough to keep a
 /// handful of worker threads off each other's cache lines without
@@ -116,15 +105,10 @@ class Counter {
  public:
   Counter() = default;
   void add(std::int64_t delta = 1) const noexcept {
-    if constexpr (kEnabled) {
-      if (cell_ != nullptr) cell_->add(delta);
-    }
+    if (cell_ != nullptr) cell_->add(delta);
   }
   [[nodiscard]] std::int64_t value() const noexcept {
-    if constexpr (kEnabled) {
-      if (cell_ != nullptr) return cell_->sum();
-    }
-    return 0;
+    return cell_ != nullptr ? cell_->sum() : 0;
   }
 
  private:
@@ -139,16 +123,11 @@ class Gauge {
  public:
   Gauge() = default;
   void add(std::int64_t delta = 1) const noexcept {
-    if constexpr (kEnabled) {
-      if (cell_ != nullptr) cell_->add(delta);
-    }
+    if (cell_ != nullptr) cell_->add(delta);
   }
   void sub(std::int64_t delta = 1) const noexcept { add(-delta); }
   [[nodiscard]] std::int64_t value() const noexcept {
-    if constexpr (kEnabled) {
-      if (cell_ != nullptr) return cell_->sum();
-    }
-    return 0;
+    return cell_ != nullptr ? cell_->sum() : 0;
   }
 
  private:
@@ -163,9 +142,7 @@ class Histogram {
  public:
   Histogram() = default;
   void record(std::uint64_t value) const noexcept {
-    if constexpr (kEnabled) {
-      if (cell_ != nullptr) cell_->record(value);
-    }
+    if (cell_ != nullptr) cell_->record(value);
   }
 
  private:

@@ -1,17 +1,14 @@
 #include "pipeline/campaign.h"
 
-#include <sys/stat.h>
-
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <filesystem>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <system_error>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 
 #include "bgp/rib.h"
@@ -110,47 +107,33 @@ void parse_value(const std::string& text, T& out) {
   }
 }
 
-bool mkdir_p(const std::string& dir, std::string* error) {
-  std::string partial;
-  for (std::size_t i = 0; i <= dir.size(); ++i) {
-    if (i < dir.size() && dir[i] != '/') {
-      partial += dir[i];
-      continue;
-    }
-    if (i < dir.size()) partial += '/';
-    if (partial.empty() || partial == "/") continue;
-    if (::mkdir(partial.c_str(), 0755) != 0 && errno != EEXIST) {
-      if (error != nullptr) {
-        *error = "mkdir " + partial + ": " + std::strerror(errno);
-      }
-      return false;
-    }
-  }
-  struct stat info{};
-  if (::stat(dir.c_str(), &info) != 0 || !S_ISDIR(info.st_mode)) {
-    if (error != nullptr) *error = dir + " is not a directory";
-    return false;
-  }
-  return true;
+/// Why a recorded output no longer vouches for its file under `out_dir`
+/// ("missing" or "hash mismatch"), or nullptr while it still does. The
+/// one check behind both resume and stale_stages.
+[[nodiscard]] const char* output_fault(const std::string& out_dir, const OutputRecord& output) {
+  const auto on_disk = hash_file(out_dir + "/" + output.path);
+  if (!on_disk) return "missing";
+  return *on_disk == output.hash ? nullptr : "hash mismatch";
 }
 
-[[nodiscard]] std::string manifest_status(StageStatus status) {
-  switch (status) {
-    case StageStatus::Done: return "done";
-    case StageStatus::Cached: return "cached";
-    case StageStatus::Failed: return "failed";
-    case StageStatus::Skipped: return "skipped";
-    case StageStatus::Pending:
-    case StageStatus::Running: break;
+/// A stage's outputs_hash over its (path, content hash) pairs, in
+/// declaration order (checkpoint.h).
+[[nodiscard]] std::uint64_t outputs_hash(const std::vector<OutputRecord>& outputs) {
+  std::uint64_t hash = kFnvBasis;
+  for (const OutputRecord& output : outputs) {
+    hash = fnv1a64(output.path, hash);
+    hash = fnv1a64_mix(output.hash, hash);
   }
-  return "pending";  // not reachable for terminal results
+  return hash;
 }
 
 /// One campaign execution: owns the universe, the graph, and the
-/// manifest bookkeeping. Stage bodies run on pool workers; every shared
-/// structure below is either sized before run() (states_, months_,
-/// release_) with publication ordered by the graph's dependency edges, or
-/// guarded by its own mutex (pending_, manifest_, per-month slots).
+/// manifest bookkeeping. Stage bodies run on pool workers. states_ and
+/// months_ are sized before run(); a stage's state is touched only by its
+/// own body and its observer call, which StageGraph runs on the same
+/// worker, and dependents read its outputs_hash after the graph lock has
+/// ordered them. The manifest and the per-month slots have their own
+/// mutexes.
 class Runner {
  public:
   Runner(const CampaignConfig& config, bool resume,
@@ -165,14 +148,22 @@ class Runner {
  private:
   using StageId = StageGraph::StageId;
 
+  /// One stage's home, by StageId. The body fills `outputs_hash` and
+  /// `record`; the graph observer completes and saves the record and calls
+  /// `release`.
   struct StageState {
     std::uint64_t outputs_hash = kFnvBasis;
+    StageRecord record;
+    /// Empties the hand-off slots this stage consumes, at any terminal
+    /// status.
+    std::function<void()> release;
   };
   /// What one month's stages hand each other in memory. A producer fills
   /// its slot once its files are durable; the one consumer takes it, and
   /// the slot is emptied when that consumer reaches any terminal status
-  /// (release_). An empty slot means the producer was cached or ran in an
-  /// earlier process, and the consumer loads the producer's file.
+  /// (its StageState::release). An empty slot means the producer was
+  /// cached or ran in an earlier process, and the consumer loads the
+  /// producer's file.
   struct MonthContext {
     std::mutex mutex;
     std::optional<bgp::Rib> rib;                      // evolve[m] → evolve[m+1]
@@ -241,28 +232,16 @@ class Runner {
   synth::SyntheticInternet universe_;
 
   StageGraph graph_;
-  std::vector<StageState> states_;                  // by StageId, sized pre-run
+  std::vector<StageState> states_;  // by StageId, sized pre-run
   std::vector<std::unique_ptr<MonthContext>> months_;
-  /// By consumer stage name: empties the slots that stage consumes. Built
-  /// with the graph, called from the graph observer.
-  std::unordered_map<std::string, std::function<void()>> release_;
 
   RunManifest old_;       // resume source (empty on fresh runs)
   RunManifest manifest_;  // being written
   std::string manifest_file_;
   // lock-order: 36 pipeline.campaign.manifest_mutex (taken from the graph
-  // observer, after pipeline.stage_graph.observer_mutex; never nested
-  // with pending_mutex_)
+  // observer, after pipeline.stage_graph.observer_mutex; leaf)
   std::mutex manifest_mutex_;
   std::string manifest_error_;  // first save failure, surfaced in the report
-
-  /// Stage bodies park their manifest record here; the graph observer —
-  /// which alone knows wall_ms/rss — completes and persists it.
-  // lock-order: 35 pipeline.campaign.pending_mutex (taken from stage
-  // bodies and the graph observer, after
-  // pipeline.stage_graph.observer_mutex)
-  std::mutex pending_mutex_;
-  std::unordered_map<std::string, StageRecord> pending_;
 };
 
 Runner::StageId Runner::add_stage(std::string name, std::vector<StageId> deps,
@@ -272,110 +251,64 @@ Runner::StageId Runner::add_stage(std::string name, std::vector<StageId> deps,
   states_.push_back({});
   auto fn = [this, id, name, deps, config_hash, outputs,
              body = std::move(body)]() -> StageOutcome {
-    std::uint64_t inputs = fnv1a64(name);
-    inputs = fnv1a64_mix(config_hash, inputs);
+    StageState& state = states_[id];
+    StageRecord& record = state.record;
+    record.inputs_hash = fnv1a64_mix(config_hash, fnv1a64(name));
     // Parents published states_ before this stage became ready (ordered by
     // the graph lock), so the chain below is race-free.
-    for (const StageId dep : deps) inputs = fnv1a64_mix(states_[dep].outputs_hash, inputs);
+    for (const StageId dep : deps) {
+      record.inputs_hash = fnv1a64_mix(states_[dep].outputs_hash, record.inputs_hash);
+    }
 
     if (resume_) {
       const StageRecord* checkpoint = old_.find(name);
-      if (checkpoint != nullptr &&
-          (checkpoint->status == "done" || checkpoint->status == "cached") &&
-          checkpoint->inputs_hash == inputs && checkpoint->outputs.size() == outputs.size()) {
-        bool valid = true;
-        std::uint64_t outputs_hash = kFnvBasis;
-        for (std::size_t i = 0; i < outputs.size(); ++i) {
-          const OutputRecord& recorded = checkpoint->outputs[i];
-          if (recorded.path != outputs[i]) {
-            valid = false;
-            break;
-          }
-          const auto on_disk = hash_file(abs(recorded.path));
-          if (!on_disk || *on_disk != recorded.hash) {
-            valid = false;  // missing/corrupted artifact ⇒ re-run
-            break;
-          }
-          outputs_hash = fnv1a64(recorded.path, outputs_hash);
-          outputs_hash = fnv1a64_mix(recorded.hash, outputs_hash);
-        }
-        if (valid) {
-          states_[id].outputs_hash = outputs_hash;
-          StageRecord record = *checkpoint;
-          record.status = "cached";
-          record.error.clear();
-          {
-            const std::lock_guard<std::mutex> lock(pending_mutex_);
-            pending_[name] = std::move(record);
-          }
-          return StageOutcome::hit();
-        }
+      bool valid = checkpoint != nullptr &&
+                   (checkpoint->status == "done" || checkpoint->status == "cached") &&
+                   checkpoint->inputs_hash == record.inputs_hash &&
+                   checkpoint->outputs.size() == outputs.size();
+      for (std::size_t i = 0; valid && i < outputs.size(); ++i) {
+        // A missing or corrupted artifact means a re-run.
+        valid = checkpoint->outputs[i].path == outputs[i] &&
+                output_fault(config_.out_dir, checkpoint->outputs[i]) == nullptr;
+      }
+      if (valid) {
+        record.outputs = checkpoint->outputs;
+        state.outputs_hash = outputs_hash(record.outputs);
+        return StageOutcome::hit();
       }
     }
 
     std::string error;
-    if (!body(&error)) {
-      StageRecord record;
-      record.name = name;
-      record.status = "failed";
-      record.inputs_hash = inputs;
-      record.error = error;
-      {
-        const std::lock_guard<std::mutex> lock(pending_mutex_);
-        pending_[name] = std::move(record);
+    bool ok = body(&error);
+    for (std::size_t i = 0; ok && i < outputs.size(); ++i) {
+      const auto hash = hash_file(abs(outputs[i]));
+      if (hash) {
+        record.outputs.push_back({outputs[i], *hash});
+      } else {
+        error = "stage completed without producing " + outputs[i];
+        ok = false;
       }
+    }
+    if (!ok) {
+      record.outputs.clear();  // a failed record carries no outputs
       return StageOutcome::failure(std::move(error));
     }
-
-    StageRecord record;
-    record.name = name;
-    record.status = "done";
-    record.inputs_hash = inputs;
-    std::uint64_t outputs_hash = kFnvBasis;
-    for (const std::string& rel : outputs) {
-      const auto hash = hash_file(abs(rel));
-      if (!hash) {
-        std::string message = "stage completed without producing " + rel;
-        StageRecord failed;
-        failed.name = name;
-        failed.status = "failed";
-        failed.inputs_hash = inputs;
-        failed.error = message;
-        {
-          const std::lock_guard<std::mutex> lock(pending_mutex_);
-          pending_[name] = std::move(failed);
-        }
-        return StageOutcome::failure(std::move(message));
-      }
-      record.outputs.push_back({rel, *hash});
-      outputs_hash = fnv1a64(rel, outputs_hash);
-      outputs_hash = fnv1a64_mix(*hash, outputs_hash);
-    }
-    states_[id].outputs_hash = outputs_hash;
-    {
-      const std::lock_guard<std::mutex> lock(pending_mutex_);
-      pending_[name] = std::move(record);
-    }
+    state.outputs_hash = outputs_hash(record.outputs);
     return StageOutcome::success();
   };
   return graph_.add(std::move(name), std::move(deps), std::move(fn));
 }
 
+// StageGraph calls this on the worker that ran the stage's body (a Skipped
+// stage's body never ran), before any dependent can start, so the record
+// the body filled needs no lock.
 void Runner::on_stage_result(const StageResult& result) {
-  if (const auto it = release_.find(result.name); it != release_.end()) it->second();
-  StageRecord record;
-  {
-    const std::lock_guard<std::mutex> lock(pending_mutex_);
-    const auto it = pending_.find(result.name);
-    if (it != pending_.end()) {
-      record = std::move(it->second);
-      pending_.erase(it);
-    } else {
-      record.name = result.name;  // Skipped: the body never ran
-      record.error = result.error;
-    }
-  }
-  record.status = manifest_status(result.status);
+  StageState& state = states_[result.id];
+  if (state.release) state.release();
+  StageRecord record = std::move(state.record);
+  record.name = result.name;
+  record.status = to_string(result.status);
+  record.error = result.error;
   record.wall_ms = result.wall_ms;
   record.peak_rss_kb = result.peak_rss_kb;
   {
@@ -573,19 +506,19 @@ void Runner::build_graph() {
     // skipped consumer never takes its slot. sptuner[m] is the corpus's
     // last consumer.
     if (m > 0) {
-      release_["evolve[" + d + "]"] = [this, m] {
+      states_[evolve_ids[m]].release = [this, m] {
         MonthContext& context = month_context(m - 1);
         const std::lock_guard<std::mutex> lock(context.mutex);
         context.rib.reset();
       };
     }
-    release_["corpus[" + d + "]"] = [this, m] {
+    states_[corpus_ids[m]].release = [this, m] {
       MonthContext& context = month_context(m);
       const std::lock_guard<std::mutex> lock(context.mutex);
       context.announced.reset();
       context.snapshot.reset();
     };
-    release_["sptuner[" + d + "]"] = [this, m] {
+    states_[tuner_ids[m]].release = [this, m] {
       MonthContext& context = month_context(m);
       const std::lock_guard<std::mutex> lock(context.mutex);
       context.corpus.reset();
@@ -696,7 +629,12 @@ void Runner::build_graph() {
 
 CampaignReport Runner::run() {
   CampaignReport report;
-  if (!mkdir_p(config_.out_dir, &report.error)) return report;
+  std::error_code mkdir_error;
+  std::filesystem::create_directories(config_.out_dir, mkdir_error);
+  if (mkdir_error) {
+    report.error = "mkdir " + config_.out_dir + ": " + mkdir_error.message();
+    return report;
+  }
   manifest_file_ = Campaign::manifest_path(config_.out_dir);
   report.manifest_path = manifest_file_;
 
@@ -762,11 +700,8 @@ std::vector<StaleStage> stale_stages(const RunManifest& manifest, const std::str
   for (const StageRecord& stage : manifest.stages) {
     if (stage.status != "done" && stage.status != "cached") continue;
     for (const OutputRecord& output : stage.outputs) {
-      const auto on_disk = hash_file(out_dir + "/" + output.path);
-      if (!on_disk) {
-        stale.push_back({stage.name, output.path, "missing"});
-      } else if (*on_disk != output.hash) {
-        stale.push_back({stage.name, output.path, "hash mismatch"});
+      if (const char* fault = output_fault(out_dir, output)) {
+        stale.push_back({stage.name, output.path, fault});
       }
     }
   }

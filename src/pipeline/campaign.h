@@ -32,6 +32,12 @@
 // which is the earliest month's, so a month finishes and releases its
 // corpus before later months pile up.
 //
+// Bookkeeping: each stage has one state, by stage id — its outputs hash,
+// its manifest record and the release of the slots it consumes. The body
+// fills the hash and the record; the graph observer, which StageGraph
+// runs on the body's worker before any dependent starts, completes and
+// saves the record and releases the slots, so no stage state is locked.
+//
 // Checkpointing (see checkpoint.h): every stage's inputs hash chains the
 // stage name, its config component (synth config for evolve/export,
 // SP-Tuner thresholds for sptuner, the .sibdb format version for sibdb)

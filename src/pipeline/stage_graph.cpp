@@ -192,6 +192,7 @@ bool StageGraph::run(core::WorkerPool& pool) {
   results_.assign(stages_.size(), {});
   const Clock::time_point now = Clock::now();
   for (StageId id = 0; id < stages_.size(); ++id) {
+    results_[id].id = id;
     results_[id].name = stages_[id].name;
     Stage& stage = stages_[id];
     stage.waiting = stage.deps.size();

@@ -76,6 +76,7 @@ struct StageOutcome {
 };
 
 struct StageResult {
+  std::size_t id = 0;         // the StageGraph::StageId add() returned
   std::string name;
   StageStatus status = StageStatus::Pending;
   std::string error;
@@ -95,10 +96,11 @@ class StageGraph {
 
   [[nodiscard]] std::size_t size() const noexcept { return stages_.size(); }
 
-  /// Called (from the executing worker thread, serialized, off the graph
-  /// lock) each time a stage reaches a terminal status, before any of its
-  /// dependents can start — the CLI progress line and the manifest
-  /// incremental save hook.
+  /// Called (serialized, off the graph lock) each time a stage reaches a
+  /// terminal status, before any of its dependents can start — the CLI
+  /// progress line and the manifest incremental save hook. A stage that
+  /// ran is observed on the worker that ran its body, right after the
+  /// body returns; a Skipped stage on the worker that finalized it.
   void set_observer(std::function<void(const StageResult&)> observer);
 
   /// Cooperative stop (the SIGINT/SIGTERM graceful-stop hook): once

@@ -112,7 +112,6 @@ TEST(PipelineStageGraph, PoolOfNRunsNStagesAtOnce) {
 }
 
 TEST(PipelineStageGraph, StageWaitHistogramGainsOneSamplePerStageThatRan) {
-  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   const obs::Histogram waits =
       obs::MetricsRegistry::global().histogram("pipeline.stage_wait_us");
   const std::uint64_t before = obs::HistogramSnapshot::of(waits).count;
