@@ -26,7 +26,6 @@
 #include <charconv>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <limits>
 #include <optional>

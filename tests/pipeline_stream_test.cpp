@@ -1,9 +1,11 @@
 // The campaign's per-month contract: each month's detect stage writes a
 // pairs CSV byte-identical to the serial oracle over that month's own
 // artifacts, and a month whose detect stage fails stops only its own
-// cone; the per-month .spdl delta logs chain each sibdb snapshot to the
-// next; and stale_stages catches checkpoints whose on-disk artifact was
-// deleted or corrupted after the run ("stale", not "done").
+// cone, with a manifest record per stage; the per-month .spdl delta logs
+// chain each sibdb snapshot to the next; stale_stages catches checkpoints
+// whose on-disk artifact was deleted or corrupted after the run ("stale",
+// not "done"); and a run directory that cannot be made fails the run
+// before any stage starts.
 #include "pipeline/campaign.h"
 
 #include <gtest/gtest.h>
@@ -135,6 +137,33 @@ TEST(PipelineDetect, FailedMonthSkipsOnlyItsOwnCone) {
                                                                      : "done";
     EXPECT_EQ(to_string(stage.status), want) << stage.name;
   }
+
+  // The manifest holds one record per stage with its status and error.
+  // Only a done stage records outputs, and only a skipped one, whose body
+  // never ran, has no inputs hash.
+  const RunManifest manifest = load_manifest(dir);
+  ASSERT_EQ(manifest.stages.size(), report.stages.size());
+  for (const StageResult& stage : report.stages) {
+    const StageRecord* record = manifest.find(stage.name);
+    ASSERT_NE(record, nullptr) << stage.name;
+    EXPECT_EQ(record->status, to_string(stage.status)) << stage.name;
+    EXPECT_EQ(record->error, stage.error) << stage.name;
+    EXPECT_EQ(record->error.empty(), stage.status == StageStatus::Done) << stage.name;
+    EXPECT_EQ(record->outputs.empty(), stage.status != StageStatus::Done) << stage.name;
+    EXPECT_EQ(record->inputs_hash == 0, stage.status == StageStatus::Skipped) << stage.name;
+  }
+}
+
+TEST(PipelineCampaign, UnusableRunDirectoryFailsBeforeAnyStage) {
+  const std::string file = fresh_dir("sp_campaign_not_a_dir");
+  std::ofstream(file) << "a file, not a directory\n";
+  for (const std::string& out_dir : {file, file + "/run"}) {
+    const auto report = Campaign(small_config(out_dir)).run(/*resume=*/false);
+    EXPECT_FALSE(report.ok) << out_dir;
+    EXPECT_TRUE(report.error.starts_with("mkdir " + out_dir + ": ")) << report.error;
+    EXPECT_TRUE(report.stages.empty()) << out_dir;
+  }
+  std::filesystem::remove(file);
 }
 
 TEST(PipelineStream, DeltaLogsChainSnapshotsAcrossMonths) {
